@@ -119,6 +119,10 @@ def test_fleet_metrics_match_committed_baseline(capsys):
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
 
+    # The committed fingerprint block is the live one, key for key.
+    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
+        assert result.fingerprint() == json.load(handle)["fingerprint"]
+
     baseline = load_baseline(BASELINE_PATH)
     gate = RegressionGate(
         # The simulation is deterministic: everything but float

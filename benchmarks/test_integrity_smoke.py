@@ -22,6 +22,7 @@ import os
 from repro.analysis import latent_corruption_window, render_table
 from repro.experiments import RegressionGate, Tolerance, load_baseline
 from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
+from repro.integrity import IntegrityConfig
 
 from harness import BENCH_SEED, print_header
 
@@ -44,7 +45,7 @@ def corruption_config():
             FaultKind.REPLICA_BITROT,
             FaultKind.TORN_APPLY,
         ),
-        integrity=True,
+        integrity=IntegrityConfig(),
     )
 
 
@@ -54,24 +55,19 @@ def run_campaign():
 
 def integrity_metrics(result):
     """The flat metric block gated against the committed baseline."""
+    tally = result.integrity_tally()
     return {
-        "corruptions": float(result.total_corruptions),
-        "corruptions_detected": float(result.total_corruptions_detected),
-        "corruptions_repaired": float(result.total_corruptions_repaired),
-        "detection_rate": result.detection_rate,
-        "mean_latent_window": result.mean_latent_window,
-        "max_latent_window": result.max_latent_window,
-        "integrity_alarms": float(result.total_integrity_alarms),
-        "failover_refusals": float(result.total_failover_refusals),
-        "repair_page_refetches": float(
-            sum(t.repair_page_refetches for t in result.trials)
-        ),
-        "repair_resyncs": float(
-            sum(t.repair_resyncs for t in result.trials)
-        ),
-        "repair_reseeds": float(
-            sum(t.repair_reseeds for t in result.trials)
-        ),
+        "corruptions": float(tally.corruptions_injected),
+        "corruptions_detected": float(tally.corruptions_detected),
+        "corruptions_repaired": float(tally.corruptions_repaired),
+        "detection_rate": tally.detection_rate,
+        "mean_latent_window": tally.mean_latent_window,
+        "max_latent_window": tally.max_latent_window,
+        "integrity_alarms": float(tally.integrity_alarms),
+        "failover_refusals": float(tally.failover_refusals),
+        "repair_page_refetches": float(tally.repair_page_refetches),
+        "repair_resyncs": float(tally.repair_resyncs),
+        "repair_reseeds": float(tally.repair_reseeds),
     }
 
 
@@ -86,15 +82,16 @@ def test_integrity_campaign_smoke(capsys):
 
     # The acceptance bar: essentially every seeded corruption caught
     # by the scrubber before a failover could promote it.
-    assert result.total_corruptions >= 4
-    assert result.detection_rate >= 0.95
+    tally = result.integrity_tally()
+    assert tally.corruptions_injected >= 4
+    assert tally.detection_rate >= 0.95
     # Protection restored through the ladder, not the alarm.
-    assert result.total_corruptions_repaired > 0
-    assert result.total_integrity_alarms == 0
+    assert tally.corruptions_repaired > 0
+    assert tally.integrity_alarms == 0
     # The latent window is measured and bounded by the scrub cadence
     # (plus the repair work ahead of each detection in the queue).
     window = latent_corruption_window(result)
-    assert window.count == result.total_corruptions
+    assert window.count == tally.corruptions_injected
     assert 0.0 < window.mean_seconds < 5.0
 
     # The determinism contract.
@@ -115,6 +112,11 @@ def test_integrity_metrics_match_committed_baseline(capsys):
         with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
+
+    # The committed payload pins the fingerprint's shape too.
+    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
+        committed = json.load(handle)
+    assert sorted(result.fingerprint()) == committed["fingerprint_keys"]
 
     baseline = load_baseline(BASELINE_PATH)
     gate = RegressionGate(

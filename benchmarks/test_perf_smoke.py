@@ -140,6 +140,8 @@ def test_perf_trajectory_holds(capsys):
         committed = json.load(handle)
     pre = committed["pre_refactor"]
     post = committed["current"]
+    # The committed fingerprint block is the live one, key for key.
+    assert result.fingerprint() == committed["fingerprint"]
 
     with capsys.disabled():
         print_header("Perf smoke: chaos-campaign host throughput")

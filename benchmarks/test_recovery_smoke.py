@@ -131,6 +131,12 @@ def test_recovery_metrics_match_committed_baseline(capsys):
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
 
+    # The committed fingerprint blocks are the live ones, key for key.
+    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
+        assert {
+            policy: result.fingerprint() for policy, result in results.items()
+        } == json.load(handle)["fingerprints"]
+
     baseline = load_baseline(BASELINE_PATH)
     gate = RegressionGate(
         # Deterministic simulation: anything beyond float round-off is

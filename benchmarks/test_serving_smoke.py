@@ -155,6 +155,11 @@ def test_serving_metrics_match_committed_baseline(capsys):
             json.dump(payload, handle, indent=1, sort_keys=True)
             handle.write("\n")
 
+    # The committed fingerprint block is the live one, key for key.
+    with open(BASELINE_PATH, "r", encoding="utf-8") as handle:
+        committed = json.load(handle)["fingerprint"]
+    assert study_fingerprint(outcomes) == committed
+
     baseline = load_baseline(BASELINE_PATH)
     gate = RegressionGate(
         # Deterministic simulation: anything beyond float round-off is

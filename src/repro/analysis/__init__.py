@@ -13,7 +13,6 @@ from .availability import (
 from .export import ResultsWriter, load_results
 from .integrity import (
     LatentWindowReport,
-    detection_rate,
     latent_corruption_window,
 )
 from .degradation import (
@@ -65,7 +64,6 @@ __all__ = [
     "blackout_comparison",
     "checkpoint_degradation",
     "compare_availability",
-    "detection_rate",
     "double_failure_risk",
     "downtime_per_failure_unprotected",
     "estimate_alpha",

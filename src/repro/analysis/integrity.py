@@ -40,11 +40,12 @@ def latent_corruption_window(
     """Reduce per-corruption latent windows to summary statistics.
 
     ``source`` is either an iterable of per-corruption windows
-    (seconds) or a campaign result whose ``trials`` each carry a
-    ``latent_windows`` list — the shape both
-    :class:`~repro.faults.campaign.CampaignResult` and the fleet
-    campaign produce.  An empty source yields NaN means/maxes, the
-    same convention the campaign fingerprint string-encodes.
+    (seconds), such as an :class:`~repro.integrity.IntegrityTally`'s
+    ``latent_windows``, or a chaos
+    :class:`~repro.faults.campaign.CampaignResult`, whose ``trials``
+    each carry a ``latent_windows`` list.  An empty source yields NaN
+    means/maxes, the same convention the campaign fingerprint
+    string-encodes.
     """
     trials = getattr(source, "trials", None)
     if trials is not None:
@@ -61,14 +62,3 @@ def latent_corruption_window(
         max_seconds=max(windows),
         total_seconds=sum(windows),
     )
-
-
-def detection_rate(detected: int, injected: int) -> float:
-    """Fraction of injected corruptions the scrubber caught in time."""
-    if detected < 0 or injected < 0 or detected > injected:
-        raise ValueError(
-            f"need 0 <= detected <= injected: {detected}/{injected}"
-        )
-    if not injected:
-        return math.nan
-    return detected / injected

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 class TimeSeries:
@@ -94,12 +94,6 @@ class TimeSeries:
         while time <= stop:
             result.append(time, self.value_at(time))
             time += step
-        return result
-
-    def map_values(self, transform: Callable[[float], float]) -> "TimeSeries":
-        result = TimeSeries(self.name)
-        for time, value in zip(self._times, self._values):
-            result.append(time, transform(value))
         return result
 
 

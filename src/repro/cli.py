@@ -729,6 +729,34 @@ def _cmd_plan(args) -> int:
     return 0 if result.fully_placed else 1
 
 
+def _serving_config(args):
+    """The ``--serving-*`` overlay; None when ``--serving-users`` is 0."""
+    if not args.serving_users:
+        return None
+    from .serving import ServingConfig
+
+    return ServingConfig(
+        users=args.serving_users,
+        rate_per_user=args.serving_rate_per_user,
+        demand=args.serving_demand,
+        slo=args.serving_slo,
+        hedge=args.serving_hedge,
+    )
+
+
+def _integrity_config(args, armed: bool):
+    """The integrity overlay under the ``--scrub-*`` knobs, if ``armed``."""
+    if not armed:
+        return None
+    from .integrity import IntegrityConfig
+
+    return IntegrityConfig(
+        scrub_interval=args.scrub_interval,
+        scrub_bandwidth=args.scrub_bandwidth_gib * GIB,
+        refuse_failover=not args.promote_suspect_replicas,
+    )
+
+
 def _run_fleet_chaos(args) -> int:
     """``repro chaos --preset fleet``: one fleet campaign per trial."""
     from .faults import FaultKind
@@ -747,17 +775,15 @@ def _run_fleet_chaos(args) -> int:
                 vms=args.vms,
                 quantum=args.quantum,
                 seed=derive_seed(args.seed, f"fleet-trial-{index}"),
+                integrity=_integrity_config(args, args.integrity),
+                recovery_policy=args.recovery_policy or "failover",
             )
             config = FleetCampaignConfig(
                 spec=spec,
                 faults=args.faults,
                 recovery_time=args.recovery_time,
                 kinds=(FaultKind.ZONE_OUTAGE,),
-                serving_users=args.serving_users,
-                serving_rate_per_user=args.serving_rate_per_user,
-                serving_demand=args.serving_demand,
-                serving_slo=args.serving_slo,
-                serving_hedge=args.serving_hedge,
+                serving=_serving_config(args),
             )
             result = FleetCampaign(config).run()
             dropped += result.dropped_vms
@@ -789,24 +815,20 @@ def _run_fleet_chaos(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from .faults import CampaignConfig, ChaosCampaign, FaultKind
+    from .recovery import MicrorebootConfig
 
     if args.preset == "fleet":
         return _run_fleet_chaos(args)
     lossy = args.preset == "lossy"
     recovery = args.preset == "recovery"
     corruption = args.preset == "corruption"
-    if lossy:
-        default_kinds = "link-loss,packet-corrupt,latency-jitter"
-    elif recovery:
+    kinds_text = args.kinds or {
+        "lossy": "link-loss,packet-corrupt,latency-jitter",
         # Only in-place-recoverable faults: a dead host has no RAM to
         # preserve, and a partition leaves nothing to microreboot.
-        default_kinds = "hypervisor-crash,hypervisor-hang"
-    elif corruption:
-        default_kinds = "translator-drift,replica-bitrot,torn-apply"
-    else:
-        default_kinds = (
-            "host-crash,hypervisor-crash,hypervisor-hang,link-partition"
-        )
+        "recovery": "hypervisor-crash,hypervisor-hang",
+        "corruption": "translator-drift,replica-bitrot,torn-apply",
+    }.get(args.preset)
     recovery_policy = args.recovery_policy
     if recovery_policy is None:
         recovery_policy = "hybrid" if recovery else "failover"
@@ -816,9 +838,20 @@ def _cmd_chaos(args) -> int:
     try:
         kinds = tuple(
             FaultKind(entry.strip())
-            for entry in (args.kinds or default_kinds).split(",")
+            for entry in kinds_text.split(",")
             if entry.strip()
+        ) if kinds_text else CampaignConfig.kinds
+        rebuild = dict(
+            rebuild_time_min=args.recovery_rebuild_min,
+            rebuild_time_max=args.recovery_rebuild_max,
+            deadline=args.recovery_deadline,
         )
+        if args.recovery_success_prob is None:
+            microreboot = MicrorebootConfig(**rebuild)
+        else:
+            microreboot = MicrorebootConfig.with_uniform_prob(
+                args.recovery_success_prob, **rebuild
+            )
         config = CampaignConfig(
             trials=args.trials,
             seed=args.seed,
@@ -831,19 +864,9 @@ def _cmd_chaos(args) -> int:
             reliable_transport=lossy,
             degraded_miss_threshold=degraded_misses,
             recovery_policy=recovery_policy,
-            recovery_success_prob=args.recovery_success_prob,
-            recovery_rebuild_min=args.recovery_rebuild_min,
-            recovery_rebuild_max=args.recovery_rebuild_max,
-            recovery_deadline=args.recovery_deadline,
-            serving_users=args.serving_users,
-            serving_rate_per_user=args.serving_rate_per_user,
-            serving_demand=args.serving_demand,
-            serving_slo=args.serving_slo,
-            serving_hedge=args.serving_hedge,
-            integrity=args.integrity or corruption,
-            integrity_scrub_interval=args.scrub_interval,
-            integrity_scrub_bandwidth=args.scrub_bandwidth_gib * GIB,
-            integrity_refuse_failover=not args.promote_suspect_replicas,
+            microreboot=microreboot,
+            serving=_serving_config(args),
+            integrity=_integrity_config(args, args.integrity or corruption),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -893,7 +916,7 @@ def _cmd_chaos(args) -> int:
                         f"{trial.corruptions_injected}/"
                         f"{trial.corruptions_detected}/"
                         f"{trial.corruptions_repaired}",
-                } if config.integrity else {}),
+                } if config.integrity is not None else {}),
             }
             for trial in result.trials
         ],

@@ -32,7 +32,7 @@ from ..replication.remus import remus_engine
 from ..replication.transport import TransportConfig
 from ..simkernel.core import Simulation
 from ..vm.machine import VirtualMachine
-from .planner import Placement, PlanResult
+from .planner import PlanResult
 
 
 @dataclass
@@ -213,10 +213,6 @@ class ProtectedDeployment:
             self.failover.service = self.service
         return self.service
 
-    def run(self, until: float) -> None:
-        """Advance the simulation to absolute time ``until``."""
-        self.sim.run(until=until)
-
     def run_for(self, duration: float) -> None:
         """Advance the simulation by ``duration`` seconds."""
         self.sim.run(until=self.sim.now + duration)
@@ -334,12 +330,6 @@ class ProtectedFleet:
             transport=transport,
             integrity=integrity,
         )
-
-    def placement_of(self, vm_name: str) -> Placement:
-        for placement in self.plan.placements:
-            if placement.vm_name == vm_name:
-                return placement
-        raise KeyError(f"no placement for {vm_name!r}")
 
     def start_protection(self, wait_ready: bool = True) -> None:
         """Start every engine; optionally run all seedings to completion."""

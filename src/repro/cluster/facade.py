@@ -55,9 +55,6 @@ class VirtConnection:
         vm.start()
         return vm
 
-    def lookup_domain(self, name: str) -> VirtualMachine:
-        return self.hypervisor.get_vm(name)
-
     def destroy_domain(self, name: str) -> None:
         self.hypervisor.destroy_vm(name)
 

@@ -28,7 +28,7 @@ CLI (``repro sweep --preset ...``) and CI smoke.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import DeploymentSpec, ProtectedDeployment, unprotected_baseline
@@ -235,15 +235,14 @@ def run_checkpoint_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
 @register_trial("chaos-trial")
 def run_chaos_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     """One trial of a chaos campaign, by campaign config + trial index."""
-    from ..faults import CampaignConfig, ChaosCampaign, FaultKind
+    from ..faults import CampaignConfig, ChaosCampaign
 
     params = dict(params)
     index = int(params.pop("index", 0))
-    kinds = params.pop("kinds", None)
-    if kinds is not None:
-        params["kinds"] = tuple(FaultKind(kind) for kind in kinds)
     aggregator = MetricsAggregator()
-    campaign = ChaosCampaign(CampaignConfig(**params), subscribers=[aggregator])
+    campaign = ChaosCampaign(
+        CampaignConfig.from_params(params), subscribers=[aggregator]
+    )
     trial = campaign.run_trial(index)
     return {"trial": trial.to_dict()}, aggregator.summary_rows()
 
@@ -282,34 +281,17 @@ def run_serving_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
 @register_trial("fleet-trial")
 def run_fleet_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     """One seeded fleet chaos campaign (zone/rack outages at scale)."""
-    from ..faults import FaultKind
+    from ..faults.campaign import decode_params
     from ..fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 
-    params = dict(params)
-    spec_params = dict(params.pop("spec", {}))
-    config_kwargs: Dict[str, Any] = {}
-    for key in (
-        "settle_time", "fault_window", "recovery_time", "faults",
-        "serving_users", "serving_rate_per_user", "serving_demand",
-        "serving_slo", "serving_hedge",
-    ):
-        if key in params:
-            config_kwargs[key] = params.pop(key)
+    params = decode_params(params)
+    spec = FleetSpec(**decode_params(params.pop("spec", {})))
     if "outage_duration" in params:
-        config_kwargs["outage_duration"] = tuple(
-            params.pop("outage_duration")
-        )
-    kinds = params.pop("kinds", None)
-    if kinds is not None:
-        config_kwargs["kinds"] = tuple(FaultKind(kind) for kind in kinds)
+        params["outage_duration"] = tuple(params["outage_duration"])
     # The sweep runner injects the spec-level seed; the fleet seed
     # rides inside the nested FleetSpec params, so it is redundant here.
     params.pop("seed", None)
-    if params:
-        raise ValueError(f"unknown fleet-trial params: {sorted(params)}")
-    campaign = FleetCampaign(
-        FleetCampaignConfig(spec=FleetSpec(**spec_params), **config_kwargs)
-    )
+    campaign = FleetCampaign(FleetCampaignConfig(spec=spec, **params))
     result = campaign.run()
     metrics: Dict[str, Any] = {"fingerprint": result.fingerprint()}
     metrics.update(result.metrics())
@@ -348,11 +330,9 @@ def chaos_sweep(
         raise ValueError(f"a chaos sweep needs >= 1 trial: {trials}")
     from ..faults import CampaignConfig
 
-    config = CampaignConfig(
+    params = CampaignConfig(
         trials=trials, seed=seed, **config_overrides
-    )
-    params = asdict(config)
-    params["kinds"] = [kind.value for kind in config.kinds]
+    ).to_params()
     del params["trials"]
     return [
         ExperimentSpec(
@@ -419,6 +399,7 @@ def corruption_sweep(
     than failover (``BENCH_integrity.json`` pins this preset).
     """
     from ..faults import FaultKind
+    from ..integrity import IntegrityConfig
 
     defaults: Dict[str, Any] = dict(
         kinds=(
@@ -426,7 +407,7 @@ def corruption_sweep(
             FaultKind.REPLICA_BITROT,
             FaultKind.TORN_APPLY,
         ),
-        integrity=True,
+        integrity=IntegrityConfig(),
         faults_per_trial=2,
         recovery_time=20.0,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.availability import observed_availability_nines
 from ..cluster.deployment import ProtectedFleet
@@ -31,22 +31,26 @@ from ..hardware.host import Host
 from ..hardware.memory import MemorySpec
 from ..hardware.units import GIB
 from ..hypervisor import KvmHypervisor, XenHypervisor
-from ..recovery import (
-    MicrorebootConfig,
-    MicrorebootEngine,
-    RecoveryController,
-    RecoveryPolicy,
-)
-from ..replication.failover import FailoverController
-from ..replication.heartbeat import HeartbeatMonitor
-from ..replication.transport import DegradationController, TransportConfig
+from ..integrity import IntegrityConfig, IntegrityTally
+from ..recovery import MicrorebootConfig, MicrorebootEngine, RecoveryPolicy
+from ..replication.transport import TransportConfig
 from ..simkernel.core import Simulation
 from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
-from .detection import PhiAccrualDetector
+from ..telemetry.metrics import fingerprint_float as _finite
 from .injector import FaultInjector
+from .protection import Protection, protect_engine
 from .reprotect import ReprotectionController
 from .spec import CORRUPTION_KINDS, FaultKind, FaultSchedule
+
+if TYPE_CHECKING:  # repro.serving loads only when a campaign serves
+    from ..serving import ServingConfig
+
+#: ServingReport counters a TrialResult carries as ``serving_<name>``.
+_SERVING_COUNTS = (
+    "requests", "served", "lost", "violations", "hedged", "clone_wins",
+    "rescued",
+)
 
 
 @dataclass(frozen=True)
@@ -108,40 +112,20 @@ class CampaignConfig:
     #: (ReHype-style microreboot, no fallback) or ``"hybrid"``
     #: (microreboot first, failover when it fails or runs overdue).
     recovery_policy: str = "failover"
-    #: Override every fault class's microreboot success probability
-    #: with one value in [0, 1]; ``None`` keeps the per-class defaults
-    #: (crash 0.88, hang 0.94, CVE-corrupted 0.76).
-    recovery_success_prob: Optional[float] = None
-    #: Uniform rebuild-time draw bounds for the microreboot (seconds).
-    recovery_rebuild_min: float = 0.15
-    recovery_rebuild_max: float = 0.45
-    #: Microreboots still in flight after this long are escalated.
-    recovery_deadline: float = 2.0
+    #: The microreboot model engines run under a non-failover policy.
+    microreboot: MicrorebootConfig = field(default_factory=MicrorebootConfig)
     #: Serving overlay: open-loop users whose tail latency the trial
-    #: measures post hoc from the bus (0 — the historical default —
+    #: measures post hoc from the bus (None — the historical default —
     #: disables the overlay entirely; it adds no events and no draws,
     #: so disabled-campaign fingerprints and traces are bit-identical).
-    serving_users: int = 0
-    serving_rate_per_user: float = 0.01
-    #: Per-request service demand (seconds at full capacity).
-    serving_demand: float = 0.0005
-    #: Latency SLO; served-over-SLO and lost requests are violations.
-    serving_slo: float = 0.25
-    #: Probability a request is cloned to the replica (hedging).
-    serving_hedge: float = 0.0
+    serving: Optional["ServingConfig"] = None
     #: Checkpoint-integrity overlay: epoch attestation, background
     #: replica scrubbing and the repair escalation ladder on every
-    #: engine (False — the historical default — adds no pipeline
+    #: engine (None — the historical default — adds no pipeline
     #: stages, no processes and no draws, so disabled-campaign
     #: fingerprints and traces are bit-identical).  Required for the
     #: silent-corruption fault kinds.
-    integrity: bool = False
-    #: Seconds between scrubber audit passes.
-    integrity_scrub_interval: float = 0.25
-    #: Audit bandwidth budget (bytes/second of replica state re-read).
-    integrity_scrub_bandwidth: float = 2.0 * GIB
-    #: Hold failover while the replica is corruption-suspect.
-    integrity_refuse_failover: bool = True
+    integrity: Optional[IntegrityConfig] = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -152,6 +136,9 @@ class CampaignConfig:
             raise ValueError(f"a VM needs >= 1 vCPU: {self.vm_vcpus}")
         if self.kvm_hosts < 1:
             raise ValueError("a trial needs >= 1 KVM secondary host")
+        for name in ("settle_time", "fault_window", "recovery_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.detector not in ("heartbeat", "phi"):
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.faults_per_trial < 1:
@@ -174,115 +161,53 @@ class CampaignConfig:
                 f"workload_load must be in [0, 1]: {self.workload_load}"
             )
         RecoveryPolicy.parse(self.recovery_policy)
-        if self.recovery_success_prob is not None and not (
-            0.0 <= self.recovery_success_prob <= 1.0
-        ):
-            raise ValueError(
-                "recovery_success_prob must be in [0, 1]: "
-                f"{self.recovery_success_prob}"
-            )
-        # MicrorebootConfig revalidates, but failing here names the
-        # campaign field the caller actually set.
-        for name in (
-            "recovery_rebuild_min", "recovery_rebuild_max",
-            "recovery_deadline",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive: {value}")
-        if self.recovery_rebuild_min > self.recovery_rebuild_max:
-            raise ValueError(
-                "recovery_rebuild_min must be <= recovery_rebuild_max: "
-                f"{self.recovery_rebuild_min} > {self.recovery_rebuild_max}"
-            )
-        if self.serving_users < 0:
-            raise ValueError(
-                f"serving_users must be >= 0 (0 disables): {self.serving_users}"
-            )
-        if self.serving_rate_per_user <= 0:
-            raise ValueError(
-                "serving_rate_per_user must be positive: "
-                f"{self.serving_rate_per_user}"
-            )
-        if self.serving_demand <= 0:
-            raise ValueError(
-                f"serving_demand must be positive: {self.serving_demand}"
-            )
-        if self.serving_slo <= 0:
-            raise ValueError(
-                f"serving_slo must be positive: {self.serving_slo}"
-            )
-        if not 0.0 <= self.serving_hedge <= 1.0:
-            raise ValueError(
-                f"serving_hedge must be in [0, 1]: {self.serving_hedge}"
-            )
-        if self.integrity_scrub_interval <= 0:
-            raise ValueError(
-                "integrity_scrub_interval must be positive: "
-                f"{self.integrity_scrub_interval}"
-            )
-        if self.integrity_scrub_bandwidth <= 0:
-            raise ValueError(
-                "integrity_scrub_bandwidth must be positive: "
-                f"{self.integrity_scrub_bandwidth}"
-            )
-        if not self.integrity and any(
-            kind in CORRUPTION_KINDS for kind in self.kinds
-        ):
-            corrupt = [
-                k.value for k in self.kinds if k in CORRUPTION_KINDS
-            ]
+        corrupt = [k.value for k in self.kinds if k in CORRUPTION_KINDS]
+        if corrupt and self.integrity is None:
             raise ValueError(
                 f"fault kinds {corrupt} need the integrity overlay: "
-                "set integrity=True (CLI: --integrity)"
+                "set integrity=IntegrityConfig() (CLI: --integrity)"
             )
 
-    def microreboot_config(self) -> MicrorebootConfig:
-        """The microreboot model this campaign's engines run."""
-        overrides = dict(
-            rebuild_time_min=self.recovery_rebuild_min,
-            rebuild_time_max=self.recovery_rebuild_max,
-            deadline=self.recovery_deadline,
-        )
-        if self.recovery_success_prob is not None:
-            return MicrorebootConfig.with_uniform_prob(
-                self.recovery_success_prob, **overrides
-            )
-        return MicrorebootConfig(**overrides)
+    def to_params(self) -> dict:
+        """JSON-ready sweep params; :meth:`from_params` inverts them."""
+        params = asdict(self)
+        params["kinds"] = [kind.value for kind in self.kinds]
+        return params
 
-    def serving_config(self):
-        """The serving overlay this campaign measures; None = disabled.
+    @classmethod
+    def from_params(cls, params: dict) -> "CampaignConfig":
+        return cls(**decode_params(params))
 
-        Imported lazily so a campaign with the overlay off never pulls
-        in :mod:`repro.serving` at all.
-        """
-        if not self.serving_users:
-            return None
+
+def decode_params(params: dict) -> dict:
+    """``params`` with the objects :meth:`CampaignConfig.to_params`
+    flattened rebuilt: fault-kind values become a :class:`FaultKind`
+    tuple, and ``microreboot``/``integrity``/``serving`` dicts their
+    config dataclasses.  Other keys pass through untouched, so fleet
+    trial params decode here too.
+    """
+    params = dict(params)
+    if "kinds" in params:
+        params["kinds"] = tuple(FaultKind(kind) for kind in params["kinds"])
+    nested = {"microreboot": MicrorebootConfig, "integrity": IntegrityConfig}
+    if isinstance(params.get("serving"), dict):
         from ..serving import ServingConfig
 
-        return ServingConfig(
-            users=self.serving_users,
-            rate_per_user=self.serving_rate_per_user,
-            demand=self.serving_demand,
-            slo=self.serving_slo,
-            hedge=self.serving_hedge,
-        )
+        nested["serving"] = ServingConfig
+    for name, config in nested.items():
+        if isinstance(params.get(name), dict):
+            params[name] = config(**params[name])
+    return params
 
-    def integrity_config(self):
-        """The integrity overlay this campaign arms; None = disabled.
 
-        Imported lazily so a campaign with the overlay off never pulls
-        in :mod:`repro.integrity` at all.
-        """
-        if not self.integrity:
-            return None
-        from ..integrity import IntegrityConfig
-
-        return IntegrityConfig(
-            scrub_interval=self.integrity_scrub_interval,
-            scrub_bandwidth=self.integrity_scrub_bandwidth,
-            refuse_failover=self.integrity_refuse_failover,
-        )
+def _primary_alive(engine) -> bool:
+    """True while the protected VM still runs on a healthy primary."""
+    return (
+        engine.vm is not None
+        and not engine.vm.is_destroyed
+        and engine.primary.host.is_up
+        and engine.primary.is_responsive
+    )
 
 
 @dataclass
@@ -343,13 +268,12 @@ class TrialResult:
     #: trial's served-latency histogram (mergeable across trials and
     #: fleet shards); None when the overlay is off.
     serving_histogram: Optional[dict] = None
-    #: Checkpoint-integrity accounting (all zero / empty when the
-    #: overlay is off, so historical trial payloads round-trip).
+    #: Checkpoint-integrity accounting: the fields of
+    #: :class:`~repro.integrity.IntegrityTally`, flattened (all zero /
+    #: empty when the overlay is off, so historical payloads round-trip).
     corruptions_injected: int = 0
     corruptions_detected: int = 0
     corruptions_repaired: int = 0
-    #: Corruptions a later clean epoch displaced before the scrubber
-    #: saw them — the overlay's misses.
     corruptions_healed: int = 0
     repair_page_refetches: int = 0
     repair_resyncs: int = 0
@@ -357,8 +281,6 @@ class TrialResult:
     integrity_alarms: int = 0
     failover_refusals: int = 0
     scrub_audits: int = 0
-    #: Per-corruption latent windows: seconds during which a failover
-    #: would have promoted the corrupt replica state.
     latent_windows: List[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -461,50 +383,6 @@ class CampaignResult:
         return sum(trial.events_processed for trial in self.trials)
 
     @property
-    def total_corruptions(self) -> int:
-        return sum(trial.corruptions_injected for trial in self.trials)
-
-    @property
-    def total_corruptions_detected(self) -> int:
-        return sum(trial.corruptions_detected for trial in self.trials)
-
-    @property
-    def total_corruptions_repaired(self) -> int:
-        return sum(trial.corruptions_repaired for trial in self.trials)
-
-    @property
-    def total_integrity_alarms(self) -> int:
-        return sum(trial.integrity_alarms for trial in self.trials)
-
-    @property
-    def total_failover_refusals(self) -> int:
-        return sum(trial.failover_refusals for trial in self.trials)
-
-    @property
-    def detection_rate(self) -> float:
-        """Fraction of injected corruptions the scrubber caught."""
-        injected = self.total_corruptions
-        if not injected:
-            return math.nan
-        return self.total_corruptions_detected / injected
-
-    def _latent_windows(self) -> List[float]:
-        values: List[float] = []
-        for trial in self.trials:
-            values.extend(trial.latent_windows)
-        return values
-
-    @property
-    def mean_latent_window(self) -> float:
-        values = self._latent_windows()
-        return sum(values) / len(values) if values else math.nan
-
-    @property
-    def max_latent_window(self) -> float:
-        values = self._latent_windows()
-        return max(values) if values else math.nan
-
-    @property
     def total_checkpoints(self) -> int:
         return sum(trial.checkpoints for trial in self.trials)
 
@@ -515,34 +393,35 @@ class CampaignResult:
         mergeable kind), so campaign percentiles are computed over the
         pooled served-latency distribution, not averaged per trial.
         """
-        serving = self.config.serving_config()
-        if serving is None:
+        if self.config.serving is None:
             return None
         from ..serving import ServingReport
         from ..telemetry import LatencyHistogram
 
-        report = ServingReport(config=serving)
+        report = ServingReport(config=self.config.serving)
         for trial in self.trials:
-            report.requests += trial.serving_requests
-            report.served += trial.serving_served
-            report.lost += trial.serving_lost
-            report.violations += trial.serving_violations
-            report.hedged += trial.serving_hedged
-            report.clone_wins += trial.serving_clone_wins
-            report.rescued += trial.serving_rescued
+            for name in _SERVING_COUNTS:
+                setattr(
+                    report, name,
+                    getattr(report, name) + getattr(trial, f"serving_{name}"),
+                )
             if trial.serving_histogram:
                 report.histogram.merge(
                     LatencyHistogram.from_dict(trial.serving_histogram)
                 )
         return report
 
-    def fingerprint(self) -> dict:
-        """The determinism contract: same seed => identical dict."""
-        def _finite(value: float):
-            # A zero-failover campaign has no MTTR: NaN would poison
-            # the contract (NaN != NaN), so encode it as a string.
-            return round(value, 9) if math.isfinite(value) else str(value)
+    def integrity_tally(self) -> Optional[IntegrityTally]:
+        """Campaign-wide integrity accounting; None when the overlay is off."""
+        if self.config.integrity is None:
+            return None
+        return IntegrityTally.total(self.trials)
 
+    def fingerprint(self) -> dict:
+        """The determinism contract: same seed => identical dict.
+
+        A zero-failover campaign has no MTTR: its NaN is string-encoded.
+        """
         payload = {
             "mean_mttr": _finite(self.mean_mttr),
             "max_mttr": _finite(self.max_mttr),
@@ -559,44 +438,14 @@ class CampaignResult:
             if math.isfinite(self.pooled_nines)
             else "inf",
         }
+        # Each overlay's block is present only when it is on, so a
+        # default campaign's fingerprint stays byte-identical.
         serving = self.serving_report()
         if serving is not None:
-            # Present only when the overlay is on: a default campaign's
-            # fingerprint stays byte-identical to the pre-serving era.
-            # A zero-request window's rates are NaN -> string-encoded,
-            # same convention as the zero-failover MTTR above.
-            payload.update({
-                "serving_requests": serving.requests,
-                "serving_lost": serving.lost,
-                "serving_violations": serving.violations,
-                "serving_rescued": serving.rescued,
-                "serving_p50": _finite(serving.p50),
-                "serving_p99": _finite(serving.p99),
-                "serving_p999": _finite(serving.p999),
-                "serving_violation_rate": _finite(serving.violation_rate),
-            })
-        if self.config.integrity:
-            # Present only when the overlay is armed, same contract as
-            # the serving block above.
-            payload.update({
-                "corruptions": self.total_corruptions,
-                "corruptions_detected": self.total_corruptions_detected,
-                "corruptions_repaired": self.total_corruptions_repaired,
-                "repair_page_refetches": sum(
-                    t.repair_page_refetches for t in self.trials
-                ),
-                "repair_resyncs": sum(
-                    t.repair_resyncs for t in self.trials
-                ),
-                "repair_reseeds": sum(
-                    t.repair_reseeds for t in self.trials
-                ),
-                "integrity_alarms": self.total_integrity_alarms,
-                "failover_refusals": self.total_failover_refusals,
-                "detection_rate": _finite(self.detection_rate),
-                "mean_latent_window": _finite(self.mean_latent_window),
-                "max_latent_window": _finite(self.max_latent_window),
-            })
+            payload.update(serving.fingerprint())
+        integrity = self.integrity_tally()
+        if integrity is not None:
+            payload.update(integrity.fingerprint())
         return payload
 
     def summary_rows(self) -> List[dict]:
@@ -619,37 +468,10 @@ class CampaignResult:
                 {"metric": "fencing rejections",
                  "value": self.total_fencing_rejections},
             ]
-        serving_rows = []
         serving = self.serving_report()
-        if serving is not None:
-            serving_rows = [
-                {"metric": f"serving {row['metric']}", "value": row["value"]}
-                for row in serving.summary_rows()
-            ]
-        integrity_rows = []
-        if self.config.integrity:
-            integrity_rows = [
-                {"metric": "corruptions (injected/detected/repaired)",
-                 "value": f"{self.total_corruptions}/"
-                          f"{self.total_corruptions_detected}/"
-                          f"{self.total_corruptions_repaired}"},
-                {"metric": "corruption detection rate",
-                 "value": self.detection_rate},
-                {"metric": "repairs (refetch/resync/reseed)",
-                 "value": "/".join(str(sum(getattr(t, name)
-                                           for t in self.trials))
-                          for name in ("repair_page_refetches",
-                                       "repair_resyncs",
-                                       "repair_reseeds"))},
-                {"metric": "integrity alarms",
-                 "value": self.total_integrity_alarms},
-                {"metric": "failovers refused (suspect replica)",
-                 "value": self.total_failover_refusals},
-                {"metric": "mean latent corruption window (s)",
-                 "value": self.mean_latent_window},
-                {"metric": "max latent corruption window (s)",
-                 "value": self.max_latent_window},
-            ]
+        serving_rows = serving.summary_rows("serving ") if serving else []
+        integrity = self.integrity_tally()
+        integrity_rows = integrity.summary_rows() if integrity else []
         return [
             {"metric": "trials", "value": len(self.trials)},
             {"metric": "faults injected",
@@ -708,14 +530,7 @@ class ChaosCampaign:
             )
         from ..experiments.presets import chaos_sweep
 
-        overrides = asdict(self.config)
-        overrides.pop("trials")
-        overrides.pop("seed")
-        overrides["kinds"] = self.config.kinds
-        specs = chaos_sweep(
-            trials=self.config.trials, seed=self.config.seed, **overrides
-        )
-        sweep = runner.run(specs)
+        sweep = runner.run(chaos_sweep(**vars(self.config)))
         result = CampaignResult(config=self.config)
         for outcome in sweep.outcomes:  # spec order == trial index order
             if not outcome.ok:
@@ -770,77 +585,37 @@ class ChaosCampaign:
             target_degradation=config.target_degradation,
             t_max=config.t_max,
             transport=TransportConfig() if config.reliable_transport else None,
-            integrity=config.integrity_config(),
+            integrity=config.integrity,
         )
         fleet.start_protection(wait_ready=True)
 
         policy = RecoveryPolicy.parse(config.recovery_policy)
         microreboots: Dict[str, MicrorebootEngine] = {}
-        gates: List[RecoveryController] = []
-        controllers = {}
-        degradation_controllers = []
+        protections: Dict[str, Protection] = {}
+        reprotections: List[ReprotectionController] = []
         for vm_name, engine in fleet.engines.items():
-            if config.detector == "phi":
-                monitor = PhiAccrualDetector(
-                    sim,
-                    engine.primary.host,
-                    engine.primary,
-                    engine.link,
-                    interval=config.heartbeat_interval,
-                    threshold=config.phi_threshold,
-                )
-            else:
-                monitor = HeartbeatMonitor(
-                    sim,
-                    engine.primary.host,
-                    engine.primary,
-                    engine.link,
-                    interval=config.heartbeat_interval,
-                    miss_threshold=config.miss_threshold,
-                    degraded_miss_threshold=config.degraded_miss_threshold,
-                    loss_signal=(
-                        engine.transport.link_appears_lossy
-                        if engine.transport is not None
-                        else None
-                    ),
-                )
-            monitor.start()
-            if engine.transport is not None:
-                degradation = DegradationController(sim, engine)
-                degradation.start()
-                degradation_controllers.append(degradation)
-            # Under a recovery policy the failover controller watches
-            # the gate instead of the raw detector: suspicion is
-            # withheld while a microreboot is in flight and only
-            # propagated per policy.  One microreboot engine per
-            # primary host — co-located VMs share the attempt.
-            detector_surface = monitor
-            if policy is not RecoveryPolicy.FAILOVER:
-                host_name = engine.primary.host.name
-                microreboot = microreboots.get(host_name)
-                if microreboot is None:
-                    microreboot = MicrorebootEngine(
-                        sim, engine.primary,
-                        config=config.microreboot_config(),
-                    )
-                    microreboots[host_name] = microreboot
-                gate = RecoveryController(
-                    sim, engine, monitor, microreboot, policy=policy
-                )
-                gate.start()
-                gates.append(gate)
-                detector_surface = gate
-            failover = FailoverController(sim, engine, detector_surface)
-            failover.arm()
+            protection = protect_engine(
+                sim,
+                engine,
+                interval=config.heartbeat_interval,
+                miss_threshold=config.miss_threshold,
+                microreboots=microreboots,
+                policy=policy,
+                microreboot=config.microreboot,
+                detector=config.detector,
+                phi_threshold=config.phi_threshold,
+                degraded_miss_threshold=config.degraded_miss_threshold,
+            )
             reprotection = ReprotectionController(
                 sim,
-                failover,
+                protection.failover,
                 spares=fleet_hypervisors,
                 target_degradation=config.target_degradation,
                 t_max=config.t_max,
             )
             reprotection.arm()
-            controllers[vm_name] = (monitor, failover, reprotection)
+            protections[vm_name] = protection
+            reprotections.append(reprotection)
 
         injector = FaultInjector(
             sim,
@@ -873,25 +648,29 @@ class ChaosCampaign:
             + config.recovery_time
         )
         trial = self._harvest(
-            index, trial_seed, sim, recorder, fleet, controllers, trial_start
+            index, trial_seed, sim, recorder, fleet, protections, trial_start
         )
         # The serving overlay replays a seeded arrival population
         # against the telemetry above.  It runs before close-out (the
         # engines are still live, so spans are attributed by engine
         # name) and draws only from its own derived-seed numpy streams
         # — nothing below perturbs the simulation.
-        if config.serving_users:
+        if config.serving is not None:
             self._serve_overlay(
-                trial, sim, recorder, fleet, controllers, trial_start
+                trial, sim, recorder, fleet, protections, trial_start
             )
         # Close the trial out cleanly so session spans end inside this
         # trial's bus (and a --trace file), not at garbage collection.
-        for degradation in degradation_controllers:
-            degradation.stop()
-        for gate in gates:
-            gate.stop()
-        for _monitor, _failover, reprotection in controllers.values():
-            _monitor.stop()
+        for protection in protections.values():
+            if protection.degradation is not None:
+                protection.degradation.stop()
+        for protection in protections.values():
+            if protection.gate is not None:
+                protection.gate.stop()
+        for protection, reprotection in zip(
+            protections.values(), reprotections
+        ):
+            protection.monitor.stop()
             if reprotection.engine is not None:
                 reprotection.engine.halt("trial over")
         fleet.halt("trial over")
@@ -913,12 +692,11 @@ class ChaosCampaign:
         return trial
 
     def _serve_overlay(
-        self, trial, sim, recorder, fleet, controllers, trial_start
+        self, trial, sim, recorder, fleet, protections, trial_start
     ) -> None:
         """Measure user-visible latency for this trial, post hoc."""
         from ..serving import overlay_report
 
-        serving = self.config.serving_config()
         horizon = sim.now
         fault_times = [
             record.time for record in recorder.counters("fault.injected")
@@ -927,16 +705,9 @@ class ChaosCampaign:
         extra: Dict[str, list] = {}
         for vm_name, engine in fleet.engines.items():
             engine_names[vm_name] = (engine.name,)
-            _monitor, failover, _reprotection = controllers[vm_name]
-            if failover.report is not None:
+            if protections[vm_name].failover.report is not None:
                 continue  # its failover span prices the darkness
-            primary_alive = (
-                engine.vm is not None
-                and not engine.vm.is_destroyed
-                and engine.primary.host.is_up
-                and engine.primary.is_responsive
-            )
-            if primary_alive:
+            if _primary_alive(engine):
                 continue
             # Dark with no failover span at all (e.g. an undetected
             # partition-then-crash): dead from the last fault onward.
@@ -948,19 +719,14 @@ class ChaosCampaign:
             vms=list(fleet.engines),
             start=trial_start,
             horizon=horizon,
-            config=serving,
+            config=self.config.serving,
             seed=derive_seed(trial.seed, "serving"),
             engine_names=engine_names,
             extra_blackouts=extra,
             bus=sim.telemetry,
         )
-        trial.serving_requests = report.requests
-        trial.serving_served = report.served
-        trial.serving_lost = report.lost
-        trial.serving_violations = report.violations
-        trial.serving_hedged = report.hedged
-        trial.serving_clone_wins = report.clone_wins
-        trial.serving_rescued = report.rescued
+        for name in _SERVING_COUNTS:
+            setattr(trial, f"serving_{name}", getattr(report, name))
         trial.serving_histogram = report.histogram.to_dict()
 
     def _attach_workload(self, sim, vm) -> None:
@@ -976,7 +742,7 @@ class ChaosCampaign:
             IdleWorkload(sim, vm).start()
 
     def _harvest(
-        self, index, trial_seed, sim, recorder, fleet, controllers, trial_start
+        self, index, trial_seed, sim, recorder, fleet, protections, trial_start
     ) -> TrialResult:
         """Build the TrialResult from the telemetry the bus recorded."""
         trial = TrialResult(index=index, seed=trial_seed)
@@ -1043,21 +809,15 @@ class ChaosCampaign:
         # Downtime accounting: a failed-over VM was dark from the fault
         # until replica activation; a dropped VM stays dark to the end.
         trial_end = sim.now
-        for vm_name, (monitor, failover, _reprotection) in controllers.items():
+        for vm_name, protection in protections.items():
             engine = fleet.engines[vm_name]
-            report = failover.report
+            report = protection.failover.report
             if report is not None and not report.failed:
                 trial.downtime_seconds += trial.mttr.get(
                     vm_name, report.resumption_time
                 )
                 continue
-            primary_alive = (
-                engine.vm is not None
-                and not engine.vm.is_destroyed
-                and engine.primary.host.is_up
-                and engine.primary.is_responsive
-            )
-            if primary_alive:
+            if _primary_alive(engine):
                 continue  # fault never touched this VM's primary path
             trial.dropped_vms += 1
             failed_at = fault_before(trial_end)
@@ -1071,41 +831,16 @@ class ChaosCampaign:
         trial.fencing_rejections = int(
             sum(r.value for r in recorder.counters("transport.fencing_rejected"))
         )
-        # Integrity accounting comes from the monitors' event ledgers
-        # (ground truth for injected-vs-caught) plus the bus (audit and
-        # refusal counters).  Monitors exist only when the overlay is
-        # armed, so a disabled campaign skips this wholesale.
-        for engine in fleet.engines.values():
-            monitor = engine.integrity_monitor
-            if monitor is None:
-                continue
-            for event in monitor.events:
-                trial.corruptions_injected += 1
-                if event.detected:
-                    trial.corruptions_detected += 1
-                if event.healed_at is not None:
-                    trial.corruptions_healed += 1
-                if event.repaired_at is not None:
-                    trial.corruptions_repaired += 1
-                if event.repaired_by == "page-refetch":
-                    trial.repair_page_refetches += 1
-                elif event.repaired_by == "incremental-resync":
-                    trial.repair_resyncs += 1
-                elif event.repaired_by == "full-reseed":
-                    trial.repair_reseeds += 1
-                trial.latent_windows.append(
-                    round(event.latent_window(sim.now), 9)
-                )
-            if engine.repairer is not None:
-                trial.integrity_alarms += engine.repairer.alarms
-        if self.config.integrity:
-            trial.scrub_audits = int(sum(
-                r.value for r in recorder.counters("integrity.scrub.audit")
-            ))
-            trial.failover_refusals = int(sum(
-                r.value
-                for r in recorder.counters("integrity.failover_refused")
-            ))
+        if self.config.integrity is not None:
+            integrity = IntegrityTally.collect(fleet.engines.values(), sim.now)
+            integrity.scrub_audits = int(
+                recorder.counter_total("integrity.scrub.audit")
+            )
+            integrity.failover_refusals = int(
+                recorder.counter_total("integrity.failover_refused")
+            )
+            for name, value in vars(integrity).items():
+                setattr(trial, name, value)
         trial.nines = observed_availability_nines(
             max(trial.downtime_seconds, 0.0), trial.observed_seconds
         )

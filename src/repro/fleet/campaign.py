@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from ..analysis.availability import observed_availability_nines
 from ..faults.spec import (
@@ -28,10 +30,15 @@ from ..faults.spec import (
     FaultSchedule,
     ZONE_KINDS,
 )
+from ..integrity import IntegrityTally
 from ..telemetry import MetricsAggregator
+from ..telemetry.metrics import fingerprint_float as _finite
 from .faults import FleetFaultInjector
 from .orchestrator import FleetOrchestrator
 from .spec import FleetSpec
+
+if TYPE_CHECKING:  # repro.serving loads only when a campaign serves
+    from ..serving import ServingConfig
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,10 @@ class FleetCampaignConfig:
     outage_duration: Tuple[float, float] = (5.0, 15.0)
     #: Serving overlay: open-loop users split across the fleet's VMs,
     #: measured post hoc from per-shard telemetry and merged through
-    #: the shard-mergeable histogram at the fleet clock (0 = off, the
-    #: default — fleet fingerprints are unchanged and no per-shard
+    #: the shard-mergeable histogram at the fleet clock (None = off,
+    #: the default — fleet fingerprints are unchanged and no per-shard
     #: recorders are even attached).
-    serving_users: int = 0
-    serving_rate_per_user: float = 0.01
-    serving_demand: float = 0.0005
-    serving_slo: float = 0.25
-    serving_hedge: float = 0.0
+    serving: Optional["ServingConfig"] = None
 
     def __post_init__(self):
         if self.faults < 1:
@@ -87,46 +90,11 @@ class FleetCampaignConfig:
                 f"not {sorted(k.value for k in unknown)}"
             )
         corruption = set(self.kinds) & CORRUPTION_KINDS
-        if corruption and not self.spec.integrity:
+        if corruption and self.spec.integrity is None:
             raise ValueError(
                 f"fault kinds {sorted(k.value for k in corruption)} need "
-                "the integrity overlay: set FleetSpec.integrity=True"
+                "the integrity overlay: set FleetSpec.integrity"
             )
-        if self.serving_users < 0:
-            raise ValueError(
-                f"serving_users must be >= 0 (0 disables): {self.serving_users}"
-            )
-        if self.serving_rate_per_user <= 0:
-            raise ValueError(
-                "serving_rate_per_user must be positive: "
-                f"{self.serving_rate_per_user}"
-            )
-        if self.serving_demand <= 0:
-            raise ValueError(
-                f"serving_demand must be positive: {self.serving_demand}"
-            )
-        if self.serving_slo <= 0:
-            raise ValueError(
-                f"serving_slo must be positive: {self.serving_slo}"
-            )
-        if not 0.0 <= self.serving_hedge <= 1.0:
-            raise ValueError(
-                f"serving_hedge must be in [0, 1]: {self.serving_hedge}"
-            )
-
-    def serving_config(self):
-        """The serving overlay this fleet measures; None = disabled."""
-        if not self.serving_users:
-            return None
-        from ..serving import ServingConfig
-
-        return ServingConfig(
-            users=self.serving_users,
-            rate_per_user=self.serving_rate_per_user,
-            demand=self.serving_demand,
-            slo=self.serving_slo,
-            hedge=self.serving_hedge,
-        )
 
 
 @dataclass
@@ -163,15 +131,9 @@ class FleetCampaignResult:
     requeued: int = 0
     max_queue_depth: int = 0
     final_admission_limit: int = 0
-    # -- integrity (all zero when the overlay is off) ------------------------
-    corruptions_injected: int = 0
-    corruptions_detected: int = 0
-    corruptions_repaired: int = 0
-    integrity_alarms: int = 0
-    failover_refusals: int = 0
-    scrub_audits: int = 0
-    #: Per-corruption latent windows across all shards.
-    latent_windows: List[float] = field(default_factory=list)
+    #: Corruption outcomes pooled over every shard's engines; None when
+    #: the integrity overlay is off.
+    integrity: Optional[IntegrityTally] = None
     # -- availability --------------------------------------------------------
     observed_seconds: float = 0.0
     downtime_seconds: float = 0.0
@@ -187,29 +149,8 @@ class FleetCampaignResult:
         values = list(self.unprotected_windows.values())
         return sum(values) / len(values) if values else math.nan
 
-    @property
-    def max_unprotected_window(self) -> float:
-        values = list(self.unprotected_windows.values())
-        return max(values) if values else math.nan
-
-    @property
-    def detection_rate(self) -> float:
-        if not self.corruptions_injected:
-            return math.nan
-        return self.corruptions_detected / self.corruptions_injected
-
-    @property
-    def mean_latent_window(self) -> float:
-        if not self.latent_windows:
-            return math.nan
-        return sum(self.latent_windows) / len(self.latent_windows)
-
     def fingerprint(self) -> dict:
         """The determinism contract: same seed => identical dict."""
-
-        def _finite(value: float):
-            return round(value, 9) if math.isfinite(value) else str(value)
-
         payload = {
             "vms": self.vms,
             "shards": self.shards,
@@ -234,33 +175,12 @@ class FleetCampaignResult:
             if math.isfinite(self.nines)
             else "inf",
         }
+        # Each overlay's block is present only when it is on, so a
+        # default fleet fingerprint stays byte-identical.
         if self.serving is not None:
-            # Opt-in only: a serving-off fleet fingerprint is
-            # byte-identical to the pre-serving era.  NaN rates of a
-            # zero-request window string-encode, like the NaN window.
-            payload.update({
-                "serving_requests": self.serving.requests,
-                "serving_lost": self.serving.lost,
-                "serving_violations": self.serving.violations,
-                "serving_rescued": self.serving.rescued,
-                "serving_p50": _finite(self.serving.p50),
-                "serving_p99": _finite(self.serving.p99),
-                "serving_p999": _finite(self.serving.p999),
-                "serving_violation_rate": _finite(
-                    self.serving.violation_rate
-                ),
-            })
-        if self.config.spec.integrity:
-            # Opt-in only, same contract as the serving block.
-            payload.update({
-                "corruptions": self.corruptions_injected,
-                "corruptions_detected": self.corruptions_detected,
-                "corruptions_repaired": self.corruptions_repaired,
-                "integrity_alarms": self.integrity_alarms,
-                "failover_refusals": self.failover_refusals,
-                "detection_rate": _finite(self.detection_rate),
-                "mean_latent_window": _finite(self.mean_latent_window),
-            })
+            payload.update(self.serving.fingerprint())
+        if self.integrity is not None:
+            payload.update(self.integrity.fingerprint())
         return payload
 
     def metrics(self) -> Dict[str, float]:
@@ -284,34 +204,18 @@ class FleetCampaignResult:
         if self.serving is not None:
             for name, value in self.serving.to_metrics().items():
                 payload[f"serving_{name}"] = value
-        if self.config.spec.integrity:
-            payload["corruptions_detected"] = float(self.corruptions_detected)
-            payload["scrub_audits"] = float(self.scrub_audits)
+        if self.integrity is not None:
+            payload["corruptions_detected"] = float(
+                self.integrity.corruptions_detected
+            )
+            payload["scrub_audits"] = float(self.integrity.scrub_audits)
         return payload
 
     def summary_rows(self) -> List[dict]:
-        serving_rows = []
-        if self.serving is not None:
-            serving_rows = [
-                {"metric": f"serving {row['metric']}", "value": row["value"]}
-                for row in self.serving.summary_rows()
-            ]
-        integrity_rows = []
-        if self.config.spec.integrity:
-            integrity_rows = [
-                {"metric": "corruptions (injected/detected/repaired)",
-                 "value": f"{self.corruptions_injected}/"
-                          f"{self.corruptions_detected}/"
-                          f"{self.corruptions_repaired}"},
-                {"metric": "corruption detection rate",
-                 "value": self.detection_rate},
-                {"metric": "scrub audits", "value": self.scrub_audits},
-                {"metric": "integrity alarms", "value": self.integrity_alarms},
-                {"metric": "failovers refused (suspect replica)",
-                 "value": self.failover_refusals},
-                {"metric": "mean latent corruption window (s)",
-                 "value": self.mean_latent_window},
-            ]
+        serving = self.serving
+        serving_rows = serving.summary_rows("serving ") if serving else []
+        integrity = self.integrity
+        integrity_rows = integrity.summary_rows() if integrity else []
         return [
             {"metric": "VMs / hosts / zones",
              "value": f"{self.vms} / {self.hosts} / {self.zones}"},
@@ -365,7 +269,7 @@ class FleetCampaign:
         orchestrator.sharded.subscribe(aggregator)
         for subscriber in self.subscribers:
             orchestrator.sharded.subscribe(subscriber)
-        if config.serving_users:
+        if config.serving is not None:
             # Recorders go on before seeding so replica windows see the
             # seeding spans.  They are passive subscribers: attaching
             # them changes no draw and no event, only host memory.
@@ -390,7 +294,7 @@ class FleetCampaign:
         injector.schedule(schedule)
         orchestrator.run_for(config.fault_window + config.recovery_time)
         result = self._harvest(orchestrator, injector, aggregator, start)
-        if config.serving_users:
+        if config.serving is not None:
             result.serving = self._serve_overlay(orchestrator, serve_start)
         orchestrator.halt("campaign over")
         return result
@@ -406,11 +310,11 @@ class FleetCampaign:
         fleet-wide report through the mergeable histogram — the same
         merge a distributed percentile pipeline would do.
         """
-        from ..serving import ServingReport, ServiceTimeline, serve_timeline
+        from ..serving import ServingReport, overlay_report
         from ..simkernel.random import derive_seed
 
         config = self.config
-        serving = config.serving_config()
+        serving = config.serving
         seed = derive_seed(config.spec.seed, "fleet-serving")
         report = ServingReport(config=serving)
         share = serving.arrivals().scaled(1.0 / max(1, config.spec.vms))
@@ -420,35 +324,29 @@ class FleetCampaign:
             horizon = shard.sim.now
             if horizon <= serve_start:
                 continue
-            failure_times = [
-                record.time for record in recorder.counters("host.failure")
-            ]
-            for vm in sorted(shard.engines):
-                engines = [shard.engines[vm].name]
-                reseed = shard.reseed_engines.get(vm)
-                if reseed is not None:
-                    engines.append(reseed.name)
-                extra = []
-                if vm in orchestrator.dropped:
-                    # Dark with no (successful or failed) failover span
-                    # to price it: from the shard's first host failure.
-                    dark_from = (
-                        min(failure_times) if failure_times else serve_start
-                    )
-                    extra.append((dark_from, horizon))
-                timeline = ServiceTimeline.from_recorder(
-                    recorder,
-                    vm,
-                    serve_start,
-                    horizon,
-                    extra_blackouts=extra,
-                    engine_names=engines,
-                )
-                report.merge(
-                    serve_timeline(
-                        timeline, serving, seed, arrivals_process=share
-                    )
-                )
+            failures = [r.time for r in recorder.counters("host.failure")]
+            # A dropped VM has no (successful or failed) failover span
+            # to price it: dark from the shard's first host failure.
+            dark = [(min(failures) if failures else serve_start, horizon)]
+            report.merge(overlay_report(
+                recorder,
+                vms=list(shard.engines),
+                start=serve_start,
+                horizon=horizon,
+                config=serving,
+                seed=seed,
+                engine_names={
+                    vm: [engine.name for engine in (
+                        shard.engines[vm], shard.reseed_engines.get(vm)
+                    ) if engine is not None]
+                    for vm in shard.engines
+                },
+                extra_blackouts={
+                    vm: dark for vm in shard.engines
+                    if vm in orchestrator.dropped
+                },
+                arrivals_process=share,
+            ))
         return report
 
     def _draw_schedule(self, orchestrator: FleetOrchestrator) -> FaultSchedule:
@@ -546,16 +444,16 @@ class FleetCampaign:
         end = orchestrator.now
         downtime = 0.0
         for shard in orchestrator.shards.values():
-            for failover in shard.failovers.values():
-                report = failover.report
+            protections = shard.protections.values()
+            for report in (p.failover.report for p in protections):
                 if report is None:
                     continue
                 if report.failed:
                     downtime += end - report.detected_at
                 elif math.isfinite(report.resumption_time):
                     downtime += report.resumption_time
-            for gate in shard.gates.values():
-                recovery = gate.report
+            for gate in (p.gate for p in protections):
+                recovery = gate.report if gate is not None else None
                 if recovery is None:
                     continue
                 if recovery.recovered:
@@ -571,26 +469,6 @@ class FleetCampaign:
         result.nines = observed_availability_nines(
             max(downtime, 0.0), result.observed_seconds
         )
-        # Integrity accounting from the monitors' event ledgers (the
-        # ground truth for injected-vs-caught) plus the merged bus.
-        for shard in orchestrator.shards.values():
-            engines = list(shard.engines.values())
-            engines.extend(shard.reseed_engines.values())
-            for engine in engines:
-                monitor = engine.integrity_monitor
-                if monitor is None:
-                    continue
-                for event in monitor.events:
-                    result.corruptions_injected += 1
-                    if event.detected:
-                        result.corruptions_detected += 1
-                    if event.repaired_at is not None:
-                        result.corruptions_repaired += 1
-                    result.latent_windows.append(
-                        round(event.latent_window(shard.sim.now), 9)
-                    )
-                if engine.repairer is not None:
-                    result.integrity_alarms += engine.repairer.alarms
         # Merged per-shard telemetry: pin the counters that prove the
         # fan-out actually crossed shard boundaries (and, with the
         # overlay armed, that scrubbing/refusal ran fleet-wide).
@@ -602,7 +480,7 @@ class FleetCampaign:
             "fleet.reprotect.started",
             "fleet.quantum",
         }
-        if spec.integrity:
+        if spec.integrity is not None:
             pinned |= {
                 "integrity.scrub.audit",
                 "integrity.corruption_detected",
@@ -612,8 +490,20 @@ class FleetCampaign:
         for row in aggregator.summary_rows():
             if row["name"] in pinned:
                 result.telemetry[row["name"]] = int(row["count"])
-        result.scrub_audits = result.telemetry.get("integrity.scrub.audit", 0)
-        result.failover_refusals = result.telemetry.get(
-            "integrity.failover_refused", 0
-        )
+        if spec.integrity is not None:
+            # Each shard's ledgers are read at that shard's own clock.
+            integrity = IntegrityTally.total(
+                IntegrityTally.collect(
+                    [*shard.engines.values(), *shard.reseed_engines.values()],
+                    shard.sim.now,
+                )
+                for shard in orchestrator.shards.values()
+            )
+            integrity.scrub_audits = result.telemetry.get(
+                "integrity.scrub.audit", 0
+            )
+            integrity.failover_refusals = result.telemetry.get(
+                "integrity.failover_refused", 0
+            )
+            result.integrity = integrity
         return result

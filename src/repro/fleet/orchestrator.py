@@ -35,19 +35,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cluster.fleetplan import FleetConstraints, FleetPlanner, Topology
 from ..cluster.planner import PlacementRequest, PlanResult
+from ..faults.protection import Protection, protect_engine
 from ..hardware.host import Host
 from ..hardware.link import LinkPair
 from ..hardware.memory import MemorySpec
 from ..hypervisor import registry
 from ..hypervisor.base import Hypervisor
-from ..recovery import (
-    MicrorebootEngine,
-    RecoveryController,
-    RecoveryPolicy,
-)
+from ..recovery import MicrorebootEngine, RecoveryPolicy
 from ..replication.engine import ReplicationEngine
-from ..replication.failover import FailoverController
-from ..replication.heartbeat import HeartbeatMonitor
 from ..replication.here import here_engine
 from ..simkernel.core import Simulation
 from ..simkernel.random import derive_seed
@@ -70,14 +65,8 @@ class PairShard:
     secondary: Hypervisor
     link: LinkPair
     engines: Dict[str, ReplicationEngine] = field(default_factory=dict)
-    monitors: Dict[str, HeartbeatMonitor] = field(default_factory=dict)
-    failovers: Dict[str, FailoverController] = field(default_factory=dict)
-    #: In-place microreboot engine for the shard's primary hypervisor
-    #: (None when the zone's policy is plain failover).
-    microreboot: Optional[MicrorebootEngine] = None
-    #: Recovery gates between each VM's monitor and failover
-    #: controller, keyed by VM name.
-    gates: Dict[str, RecoveryController] = field(default_factory=dict)
+    #: Detector, recovery gate and failover controller per VM name.
+    protections: Dict[str, Protection] = field(default_factory=dict)
     #: Spare hypervisors materialized into this shard for re-seeding,
     #: keyed by logical host name.
     spares: Dict[str, Hypervisor] = field(default_factory=dict)
@@ -242,7 +231,7 @@ class FleetOrchestrator:
                 t_max=self.spec.t_max,
                 checkpoint_threads=self.spec.checkpoint_threads,
                 name=f"here:{placement.vm_name}",
-                integrity=self.spec.integrity_config(),
+                integrity=self.spec.integrity,
             )
 
     # -- lifecycle -----------------------------------------------------------
@@ -253,12 +242,6 @@ class FleetOrchestrator:
     @property
     def now(self) -> float:
         return self.sharded.now
-
-    def shard_of(self, vm_name: str) -> PairShard:
-        for shard in self.shards.values():
-            if vm_name in shard.engines:
-                return shard
-        raise KeyError(f"no shard protects {vm_name!r}")
 
     def start_protection(self, seed_deadline: float = 60.0) -> None:
         """Start every engine/monitor/failover and run initial seeding.
@@ -276,37 +259,18 @@ class FleetOrchestrator:
             # decides how its VMs answer a dead hypervisor.
             zone = self.topology.zone_of(shard.primary.host.name)
             policy = RecoveryPolicy.parse(self.spec.policy_for_zone(zone))
+            microreboots: Dict[str, MicrorebootEngine] = {}
             for vm_name in sorted(shard.engines):
                 engine = shard.engines[vm_name]
                 engine.start(vm_name)
-                monitor = HeartbeatMonitor(
+                shard.protections[vm_name] = protect_engine(
                     shard.sim,
-                    engine.primary.host,
-                    engine.primary,
-                    engine.link,
+                    engine,
                     interval=self.spec.heartbeat_interval,
                     miss_threshold=self.spec.miss_threshold,
+                    microreboots=microreboots,
+                    policy=policy,
                 )
-                monitor.start()
-                detector_surface = monitor
-                if policy is not RecoveryPolicy.FAILOVER:
-                    if shard.microreboot is None:
-                        shard.microreboot = MicrorebootEngine(
-                            shard.sim, shard.primary
-                        )
-                    gate = RecoveryController(
-                        shard.sim, engine, monitor, shard.microreboot,
-                        policy=policy,
-                    )
-                    gate.start()
-                    shard.gates[vm_name] = gate
-                    detector_surface = gate
-                failover = FailoverController(
-                    shard.sim, engine, detector_surface
-                )
-                failover.arm()
-                shard.monitors[vm_name] = monitor
-                shard.failovers[vm_name] = failover
         deadline = self.now + seed_deadline
         while not self._all_ready() and self.now < deadline:
             self.sharded.step_quantum()
@@ -365,9 +329,9 @@ class FleetOrchestrator:
                 if vm_name in self._handled:
                     continue
                 engine = shard.engines[vm_name]
-                failover = shard.failovers.get(vm_name)
-                report = failover.report if failover is not None else None
-                gate = shard.gates.get(vm_name)
+                protection = shard.protections[vm_name]
+                report = protection.failover.report
+                gate = protection.gate
                 recovery = gate.report if gate is not None else None
                 if recovery is not None and recovery.recovered:
                     # The microreboot restored the VM in place and the
@@ -553,7 +517,7 @@ class FleetOrchestrator:
             t_max=self.spec.t_max * self.period_scale,
             checkpoint_threads=self.spec.checkpoint_threads,
             name=f"reseed:{request.vm_name}",
-            integrity=self.spec.integrity_config(),
+            integrity=self.spec.integrity,
         )
         engine.start(request.vm_name)
         shard.reseed_engines[request.vm_name] = engine
@@ -657,10 +621,10 @@ class FleetOrchestrator:
     def halt(self, reason: str = "fleet halted") -> None:
         """Stop every engine and monitor (campaign teardown)."""
         for shard in self.shards.values():
-            for gate in shard.gates.values():
-                gate.stop()
-            for monitor in shard.monitors.values():
-                monitor.stop()
+            for protection in shard.protections.values():
+                if protection.gate is not None:
+                    protection.gate.stop()
+                protection.monitor.stop()
             for engine in shard.engines.values():
                 engine.halt(reason)
             for engine in shard.reseed_engines.values():

@@ -28,11 +28,6 @@ class CpuModel:
         """Total physical cores."""
         return self.sockets * self.cores_per_socket
 
-    @property
-    def hardware_threads(self) -> int:
-        """Total hardware threads (SMT included)."""
-        return self.cores * self.threads_per_core
-
 
 class CpuAccounting:
     """Tracks simulated CPU-seconds consumed per named component.

@@ -46,12 +46,6 @@ class MemorySpec:
         """Total 4 KiB page frames."""
         return self.total_bytes // PAGE_SIZE
 
-    def node_of(self, physical_address: int) -> int:
-        """NUMA node owning ``physical_address`` (block-interleaved)."""
-        if not 0 <= physical_address < self.total_bytes:
-            raise ValueError(f"address {physical_address:#x} out of range")
-        return physical_address // self.per_node_bytes
-
     def fits(self, request_bytes: int, already_allocated: int = 0) -> bool:
         """Whether a guest of ``request_bytes`` fits in the free pool."""
         return already_allocated + request_bytes <= self.usable_bytes

@@ -3,15 +3,13 @@
 kvmtool (``lkvm``) is a deliberately small KVM userspace — no QEMU
 device-model lineage, tiny startup path.  The paper attributes the
 ~10 ms replica resumption time (Fig. 7) mostly to "the more efficient
-userspace component kvmtool"; this module models that activation path
-and the replica-side state loading.
+userspace component kvmtool"; this module models that activation path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ...vm.devices import standard_pv_devices
 from ...vm.machine import VirtualMachine
 
 
@@ -51,11 +49,6 @@ class KvmtoolUserspace:
         # The replica exists but does not execute until failover.
         return replica
 
-    def load_checkpoint(self, vm: VirtualMachine, payload: Dict) -> None:
-        """Apply a translated checkpoint payload to the replica shell."""
-        self._log("load-checkpoint", vm.name)
-        self.hypervisor.load_guest_state(vm, payload)
-
     def activate_replica(self, vm: VirtualMachine):
         """Generator: start executing the replica (failover moment).
 
@@ -81,7 +74,3 @@ class KvmtoolUserspace:
             )
             yield switch
         return vm
-
-    def fresh_device_set(self):
-        """kvmtool's native virtio device models."""
-        return standard_pv_devices("kvm")

@@ -40,6 +40,7 @@ from .monitor import (
 )
 from .repair import REPAIR_RUNGS, IntegrityRepairController
 from .scrub import ReplicaScrubber
+from .tally import IntegrityTally
 
 __all__ = [
     "ATTEST_COST_PER_DEVICE",
@@ -49,6 +50,7 @@ __all__ = [
     "IntegrityConfig",
     "IntegrityMonitor",
     "IntegrityRepairController",
+    "IntegrityTally",
     "CorruptionEvent",
     "REPAIR_RUNGS",
     "REPLICA_BITROT",

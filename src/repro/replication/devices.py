@@ -111,14 +111,3 @@ class DeviceManager:
             "devices.packets_dropped", float(len(dropped)), vm=self.vm.name
         )
         return dropped
-
-    # -- failover device switch ---------------------------------------------------
-    def switch_to_flavor(self, target_flavor: str):
-        """Generator: run the guest agent's device-model switch."""
-        if self.vm.guest_agent is None:
-            raise RuntimeError(f"VM {self.vm.name!r} has no guest agent")
-        result = yield self.sim.process(
-            self.vm.guest_agent.switch_device_models(target_flavor),
-            name=f"devswitch:{self.vm.name}",
-        )
-        return result

@@ -256,12 +256,6 @@ class ReplicaSession:
         staged.valid.update(indices)
         self.chunks_staged += len(indices)
 
-    def staged_chunks_missing(self, epoch: int) -> Optional[int]:
-        """How many chunks the staged epoch still lacks (None if other)."""
-        if self._staged is None or self._staged.epoch != epoch:
-            return None
-        return self._staged.missing
-
     def discard_epoch(self, epoch: Optional[int] = None) -> bool:
         """Torn-epoch rollback: drop the staged (uncommitted) epoch.
 

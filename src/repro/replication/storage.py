@@ -149,14 +149,6 @@ class DiskReplicator:
     def speculative_writes(self) -> int:
         return sum(len(writes) for writes in self._speculative.values())
 
-    @property
-    def speculative_bytes(self) -> int:
-        return sum(
-            write.length
-            for writes in self._speculative.values()
-            for write in writes
-        )
-
     def __repr__(self) -> str:
         return (
             f"<DiskReplicator {self.name!r} epoch={self._open_epoch} "

@@ -119,12 +119,6 @@ class VulnerabilityDatabase:
     def dos_only(self) -> "VulnerabilityDatabase":
         return self.filter(lambda record: record.is_dos_only)
 
-    def with_lineage(self, lineage: str) -> "VulnerabilityDatabase":
-        wanted = lineage.lower()
-        return self.filter(
-            lambda record: record.component_lineage.lower() == wanted
-        )
-
     def products(self) -> List[str]:
         return sorted({record.product for record in self._records})
 

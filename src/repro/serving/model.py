@@ -30,6 +30,7 @@ import numpy as np
 
 from ..simkernel.random import derive_seed
 from ..telemetry.histogram import LatencyHistogram
+from ..telemetry.metrics import fingerprint_float as _finite
 from .arrivals import PoissonArrivals
 from .queue import ps_complete
 from .timeline import ServiceTimeline
@@ -148,8 +149,25 @@ class ServingReport:
             "violation_rate": self.violation_rate,
         }
 
-    def summary_rows(self) -> List[dict]:
-        return [
+    def fingerprint(self) -> dict:
+        """The serving block of a campaign fingerprint.
+
+        A zero-request window's NaN rates are string-encoded, the same
+        convention as a zero-failover campaign's MTTR.
+        """
+        return {
+            "serving_requests": self.requests,
+            "serving_lost": self.lost,
+            "serving_violations": self.violations,
+            "serving_rescued": self.rescued,
+            "serving_p50": _finite(self.p50),
+            "serving_p99": _finite(self.p99),
+            "serving_p999": _finite(self.p999),
+            "serving_violation_rate": _finite(self.violation_rate),
+        }
+
+    def summary_rows(self, prefix: str = "") -> List[dict]:
+        rows = [
             {"metric": "requests", "value": self.requests},
             {"metric": "served / lost", "value": f"{self.served}/{self.lost}"},
             {"metric": "hedged (clone wins)",
@@ -162,6 +180,9 @@ class ServingReport:
             {"metric": "SLO violations", "value": self.violations},
             {"metric": "SLO violation rate", "value": self.violation_rate},
         ]
+        for row in rows:
+            row["metric"] = prefix + row["metric"]
+        return rows
 
     def publish(self, bus, **attrs) -> None:
         """Put the aggregate numbers on a telemetry bus."""
@@ -262,19 +283,21 @@ def overlay_report(
     engine_names: Optional[Dict[str, Sequence[str]]] = None,
     extra_blackouts: Optional[Dict[str, Sequence[tuple]]] = None,
     bus=None,
+    arrivals_process: Optional[PoissonArrivals] = None,
 ) -> ServingReport:
     """The whole-trial serving overlay: one merged report over ``vms``.
 
     The population splits evenly across the VMs (thinning a Poisson
-    process is a Poisson process); per-VM reports merge through the
-    shard-mergeable histogram.  ``engine_names`` maps VM name ->
-    engine names for mid-campaign harvests; ``extra_blackouts`` adds
-    caller-known dark windows (cold restarts) per VM.
+    process is a Poisson process) unless ``arrivals_process`` gives
+    each VM's share; per-VM reports merge through the shard-mergeable
+    histogram.  ``engine_names`` maps VM name -> engine names for
+    mid-campaign harvests; ``extra_blackouts`` adds caller-known dark
+    windows (cold restarts) per VM.
     """
     if not vms:
         raise ValueError("the serving overlay needs at least one VM")
     merged = ServingReport(config=config)
-    share = config.arrivals().scaled(1.0 / len(vms))
+    share = arrivals_process or config.arrivals().scaled(1.0 / len(vms))
     for vm in sorted(vms):
         timeline = ServiceTimeline.from_recorder(
             recorder,

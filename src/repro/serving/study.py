@@ -45,9 +45,9 @@ from ..recovery import (
     RecoveryController,
     RecoveryPolicy,
 )
-from ..replication.failover import FailoverController
 from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
+from ..telemetry.metrics import fingerprint_float as _finite
 from .model import ServingConfig, ServingReport, overlay_report
 
 #: Strategy order of every study table and bench payload.
@@ -110,10 +110,6 @@ class StrategyOutcome:
 
     def fingerprint(self) -> dict:
         """Deterministic same-seed contract for one strategy."""
-
-        def _finite(value: float):
-            return round(value, 9) if math.isfinite(value) else str(value)
-
         payload = {
             "requests": self.report.requests,
             "served": self.report.served,
@@ -207,13 +203,8 @@ class ServingStudy:
             )
             # The failover controller must watch the gate, not the raw
             # detector: suspicion is withheld while the microreboot is
-            # in flight.  Replace it before start_protection arms it.
-            deployment.failover = FailoverController(
-                sim,
-                deployment.engine,
-                gate,
-                replica_service_link=deployment.testbed.service_secondary,
-            )
+            # in flight.  Repoint it before start_protection arms it.
+            deployment.failover.monitor = gate
 
         if unreplicated:
             # No engine, no seeding: just watch the primary.

@@ -35,6 +35,12 @@ def percentile(values: List[float], q: float) -> float:
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
+def fingerprint_float(value: float):
+    """``value`` as a determinism fingerprint carries it: rounded to 9
+    places, NaN/inf string-encoded (NaN != NaN would break equality)."""
+    return round(value, 9) if math.isfinite(value) else str(value)
+
+
 class _Series:
     __slots__ = ("kind", "values", "total")
 

@@ -111,10 +111,6 @@ class MiniLSM:
     def run_count(self) -> int:
         return len(self._runs)
 
-    def footprint_bytes(self) -> int:
-        """Resident bytes across memtable and all sorted runs."""
-        return self._memtable_bytes + sum(run.size_bytes for run in self._runs)
-
     def __len__(self) -> int:
         """Approximate live-key count (tombstones excluded, newest wins)."""
         live = {}

@@ -35,6 +35,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 fast_config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["settle_time", "fault_window", "recovery_time"]
+    )
+    def test_negative_durations_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            fast_config(**{name: -1.0})
+
 
 class TestDeterminism:
     def test_same_seed_identical_fingerprint(self):

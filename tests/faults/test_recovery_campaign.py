@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
+from repro.recovery import MicrorebootConfig
 
 
 def fast_config(**overrides):
@@ -19,7 +20,12 @@ def fast_config(**overrides):
         kinds=(FaultKind.HYPERVISOR_CRASH,),
     )
     defaults.update(overrides)
-    return CampaignConfig(**defaults)
+    # from_params also builds a nested ``microreboot`` dict.
+    return CampaignConfig.from_params(defaults)
+
+
+def uniform(success_prob):
+    return MicrorebootConfig.with_uniform_prob(success_prob)
 
 
 class TestConfigValidation:
@@ -27,12 +33,12 @@ class TestConfigValidation:
         "kwargs",
         [
             dict(recovery_policy="reboot-harder"),
-            dict(recovery_success_prob=1.5),
-            dict(recovery_success_prob=-0.1),
-            dict(recovery_rebuild_min=0.0),
-            dict(recovery_rebuild_max=float("inf")),
-            dict(recovery_rebuild_min=0.9, recovery_rebuild_max=0.3),
-            dict(recovery_deadline=-1.0),
+            dict(microreboot=dict(success_prob_crash=1.5)),
+            dict(microreboot=dict(success_prob_cve=-0.1)),
+            dict(microreboot=dict(rebuild_time_min=0.0)),
+            dict(microreboot=dict(rebuild_time_max=float("inf"))),
+            dict(microreboot=dict(rebuild_time_min=0.9, rebuild_time_max=0.3)),
+            dict(microreboot=dict(deadline=-1.0)),
         ],
     )
     def test_bad_recovery_knobs_rejected(self, kwargs):
@@ -40,13 +46,15 @@ class TestConfigValidation:
             fast_config(**kwargs)
 
     def test_microreboot_config_reflects_overrides(self):
-        config = fast_config(
+        campaign = fast_config(
             recovery_policy="hybrid",
-            recovery_success_prob=0.5,
-            recovery_rebuild_min=0.2,
-            recovery_rebuild_max=0.3,
-            recovery_deadline=4.0,
-        ).microreboot_config()
+            microreboot=MicrorebootConfig.with_uniform_prob(
+                0.5, rebuild_time_min=0.2, rebuild_time_max=0.3, deadline=4.0
+            ),
+        )
+        # The sweep wire format carries the nested model intact.
+        assert CampaignConfig.from_params(campaign.to_params()) == campaign
+        config = campaign.microreboot
         assert config.success_prob("crash") == 0.5
         assert config.success_prob("cve") == 0.5
         assert config.rebuild_time_min == 0.2
@@ -58,7 +66,7 @@ class TestHybridCampaign:
     def test_hybrid_recovers_in_place(self):
         result = ChaosCampaign(
             fast_config(
-                recovery_policy="hybrid", recovery_success_prob=1.0
+                recovery_policy="hybrid", microreboot=uniform(1.0)
             )
         ).run()
         assert result.total_recovery_attempts == 2
@@ -75,7 +83,7 @@ class TestHybridCampaign:
     def test_hybrid_falls_back_to_failover(self):
         result = ChaosCampaign(
             fast_config(
-                recovery_policy="hybrid", recovery_success_prob=0.0
+                recovery_policy="hybrid", microreboot=uniform(0.0)
             )
         ).run()
         assert result.total_recovery_attempts == 2
@@ -88,14 +96,14 @@ class TestHybridCampaign:
         result = ChaosCampaign(
             fast_config(
                 recovery_policy="recover-in-place",
-                recovery_success_prob=0.0,
+                microreboot=uniform(0.0),
             )
         ).run()
         assert result.total_failovers == 0
         assert result.total_dropped_vms == 2
 
     def test_fingerprint_deterministic_and_carries_recovery_keys(self):
-        config = dict(recovery_policy="hybrid", recovery_success_prob=0.7)
+        config = dict(recovery_policy="hybrid", microreboot=uniform(0.7))
         first = ChaosCampaign(fast_config(**config)).run()
         second = ChaosCampaign(fast_config(**config)).run()
         assert first.fingerprint() == second.fingerprint()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults import CampaignConfig, ChaosCampaign
+from repro.serving import ServingConfig
 
 
 def fast_config(**overrides):
@@ -20,35 +21,44 @@ def fast_config(**overrides):
 
 
 def serving_config(**overrides):
-    defaults = dict(
-        serving_users=5_000,
-        serving_rate_per_user=0.02,
-        serving_demand=0.001,
-        serving_slo=0.1,
-        serving_hedge=0.5,
+    serving = ServingConfig(
+        users=5_000, rate_per_user=0.02, demand=0.001, slo=0.1, hedge=0.5
     )
-    defaults.update(overrides)
-    return fast_config(**defaults)
+    return fast_config(serving=serving, **overrides)
 
 
 class TestConfigValidation:
     def test_bad_serving_knobs_rejected(self):
         for kwargs in (
-            dict(serving_users=-1),
-            dict(serving_rate_per_user=0.0),
-            dict(serving_demand=0.0),
-            dict(serving_slo=0.0),
-            dict(serving_hedge=1.5),
+            dict(users=-1),
+            dict(rate_per_user=0.0),
+            dict(demand=0.0),
+            dict(slo=0.0),
+            dict(hedge=1.5),
         ):
             with pytest.raises(ValueError):
-                serving_config(**kwargs)
+                CampaignConfig.from_params({"serving": kwargs})
 
     def test_zero_users_disables_the_overlay(self):
-        assert fast_config().serving_config() is None
-        assert serving_config().serving_config() is not None
+        assert fast_config().serving is None
+        config = serving_config()
+        # The sweep wire format rebuilds the nested overlay config.
+        assert CampaignConfig.from_params(config.to_params()) == config
 
 
 class TestOptInContract:
+    def test_campaign_module_does_not_import_serving(self):
+        # The overlay's package loads only when a campaign serves.
+        import subprocess
+        import sys
+
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.faults.campaign, repro.fleet; "
+             "assert 'repro.serving' not in sys.modules"],
+            check=True,
+        )
+
     def test_disabled_fingerprint_has_no_serving_keys(self):
         result = ChaosCampaign(fast_config()).run()
         assert not any(

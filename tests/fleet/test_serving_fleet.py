@@ -4,6 +4,7 @@ import pytest
 
 from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 from repro.hardware.units import MIB
+from repro.serving import ServingConfig
 
 
 def config(**kwargs):
@@ -30,25 +31,21 @@ def config(**kwargs):
 
 
 def serving_config(**kwargs):
-    defaults = dict(
-        serving_users=6_000,
-        serving_rate_per_user=0.02,
-        serving_demand=0.001,
-        serving_slo=0.1,
-        serving_hedge=0.5,
+    serving = dict(
+        users=6_000, rate_per_user=0.02, demand=0.001, slo=0.1, hedge=0.5
     )
-    defaults.update(kwargs)
-    return config(**defaults)
+    serving.update(kwargs)
+    return config(serving=ServingConfig(**serving))
 
 
 class TestConfigValidation:
     def test_bad_serving_knobs_rejected(self):
         for kwargs in (
-            dict(serving_users=-1),
-            dict(serving_rate_per_user=0.0),
-            dict(serving_demand=-1.0),
-            dict(serving_slo=0.0),
-            dict(serving_hedge=2.0),
+            dict(users=-1),
+            dict(rate_per_user=0.0),
+            dict(demand=-1.0),
+            dict(slo=0.0),
+            dict(hedge=2.0),
         ):
             with pytest.raises(ValueError):
                 serving_config(**kwargs)

@@ -6,11 +6,14 @@ corruption campaign detects essentially every injected corruption
 before any failover promotes it — the acceptance bar of the overlay.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.cluster import DeploymentSpec, ProtectedDeployment
 from repro.faults import CampaignConfig, ChaosCampaign, FaultKind
 from repro.hardware.units import GIB
+from repro.integrity import IntegrityConfig
 
 
 def corruption_config(**overrides):
@@ -27,7 +30,7 @@ def corruption_config(**overrides):
             FaultKind.REPLICA_BITROT,
             FaultKind.TORN_APPLY,
         ),
-        integrity=True,
+        integrity=IntegrityConfig(),
     )
     defaults.update(overrides)
     return CampaignConfig(**defaults)
@@ -53,7 +56,7 @@ class TestOptIn:
 
     def test_corruption_kinds_require_the_overlay(self):
         with pytest.raises(ValueError, match="integrity"):
-            corruption_config(integrity=False)
+            corruption_config(integrity=None)
 
     def test_disabled_campaign_fingerprint_has_no_integrity_keys(self):
         config = CampaignConfig(
@@ -66,9 +69,11 @@ class TestOptIn:
 
     def test_scrub_knobs_are_validated(self):
         with pytest.raises(ValueError):
-            corruption_config(integrity_scrub_interval=0.0)
+            corruption_config(integrity=IntegrityConfig(scrub_interval=0.0))
         with pytest.raises(ValueError):
-            corruption_config(integrity_scrub_bandwidth=-1.0)
+            corruption_config(
+                integrity=IntegrityConfig(scrub_bandwidth=-1.0)
+            )
 
 
 class TestCorruptionCampaign:
@@ -79,8 +84,9 @@ class TestCorruptionCampaign:
     def test_acceptance_detection_rate(self, result):
         """The headline bar: >= 95% of seeded silent corruption caught
         by the scrubber before any failover promoted it."""
-        assert result.total_corruptions >= 4
-        assert result.detection_rate >= 0.95
+        tally = result.integrity_tally()
+        assert tally.corruptions_injected >= 4
+        assert tally.detection_rate >= 0.95
 
     def test_repairs_are_attributed_to_rungs(self, result):
         repaired = sum(
@@ -89,12 +95,14 @@ class TestCorruptionCampaign:
             + trial.repair_reseeds
             for trial in result.trials
         )
-        assert result.total_corruptions_repaired >= repaired > 0
-        assert result.total_integrity_alarms == 0
+        tally = result.integrity_tally()
+        assert tally.corruptions_repaired >= repaired > 0
+        assert tally.integrity_alarms == 0
 
     def test_latent_windows_are_measured(self, result):
-        assert result.mean_latent_window > 0.0
-        assert result.max_latent_window < 5.0  # caught within scrub cadence
+        tally = result.integrity_tally()
+        assert tally.mean_latent_window > 0.0
+        assert tally.max_latent_window < 5.0  # caught within scrub cadence
 
     def test_fingerprint_carries_integrity_keys(self, result):
         fingerprint = result.fingerprint()
@@ -119,4 +127,4 @@ class TestSweepPreset:
         specs = corruption_sweep(trials=2, seed=5)
         assert len(specs) == 2
         for spec in specs:
-            assert spec.params["integrity"] is True
+            assert spec.params["integrity"] == asdict(IntegrityConfig())

@@ -255,6 +255,38 @@ class TestChaosCommand:
             "--miss-threshold", "5", "--degraded-miss-threshold", "2",
         ]) == 2
 
+    def test_negative_recovery_time_is_a_clean_error(self, capsys):
+        assert main(["chaos", "--trials", "1", "--recovery-time", "-100"]) == 2
+        assert "error: recovery_time must be >= 0" in capsys.readouterr().err
+
+    def test_fleet_preset_forwards_integrity_and_recovery_flags(
+        self, capsys, monkeypatch
+    ):
+        from repro import fleet
+        from repro.hardware.units import GIB
+        from repro.integrity import IntegrityConfig
+
+        configs = []
+
+        class Recording(fleet.FleetCampaign):
+            def __init__(self, config, *args, **kwargs):
+                configs.append(config)
+                super().__init__(config, *args, **kwargs)
+
+        monkeypatch.setattr(fleet, "FleetCampaign", Recording)
+        code = main([
+            "chaos", "--preset", "fleet", "--trials", "1", "--vms", "4",
+            "--recovery-time", "10", "--integrity", "--scrub-interval", "0.5",
+            "--scrub-bandwidth-gib", "1", "--promote-suspect-replicas",
+            "--recovery-policy", "hybrid",
+        ])
+        assert code in (0, 1)
+        spec = configs[0].spec
+        assert spec.recovery_policy == "hybrid"
+        assert spec.integrity == IntegrityConfig(
+            scrub_interval=0.5, scrub_bandwidth=GIB, refuse_failover=False
+        )
+
 
 class TestServeCommand:
     FAST = [
