@@ -232,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "--preset recovery: hybrid)",
     )
     chaos.add_argument(
-        "--recovery-success-prob", type=_probability, default=None,
+        "--recovery-success-prob", dest="success_prob", type=_probability,
+        default=None,
         help="override every fault class's microreboot success "
              "probability with one value in [0, 1] (default: per-class "
              "model — crash 0.88, hang 0.94, CVE 0.76)",
@@ -381,14 +382,15 @@ def _build_parser() -> argparse.ArgumentParser:
              "(zone overrides are available on FleetSpec)",
     )
 
+    from .experiments.presets import SWEEP_PRESETS
+
     sweep = subparsers.add_parser(
         "sweep",
         help="parallel, cached experiment sweep with regression gating",
     )
     sweep.add_argument(
         "--preset",
-        choices=["chaos", "lossy", "corruption", "fleet", "serving",
-                 "ycsb", "table6"],
+        choices=SWEEP_PRESETS,
         default="chaos",
         help="which built-in trial matrix to run",
     )
@@ -447,11 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--limit", type=_positive_int, default=20,
                          help="rows of profiler output to print")
-    profile.add_argument(
-        "--spans", action="store_true",
-        help="also attribute host time to telemetry record names "
-             "(attaches a WallClockSampler to the bus)",
-    )
 
     subparsers.add_parser(
         "experiments", help="list every paper table/figure benchmark"
@@ -814,84 +811,72 @@ def _run_fleet_chaos(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    import time
+
     from .faults import CampaignConfig, ChaosCampaign, FaultKind
+    from .faults.campaign import CHAOS_PRESETS
+    from .profiling import throughput_line
     from .recovery import MicrorebootConfig
 
     if args.preset == "fleet":
         return _run_fleet_chaos(args)
-    lossy = args.preset == "lossy"
-    recovery = args.preset == "recovery"
-    corruption = args.preset == "corruption"
-    kinds_text = args.kinds or {
-        "lossy": "link-loss,packet-corrupt,latency-jitter",
-        # Only in-place-recoverable faults: a dead host has no RAM to
-        # preserve, and a partition leaves nothing to microreboot.
-        "recovery": "hypervisor-crash,hypervisor-hang",
-        "corruption": "translator-drift,replica-bitrot,torn-apply",
-    }.get(args.preset)
-    recovery_policy = args.recovery_policy
-    if recovery_policy is None:
-        recovery_policy = "hybrid" if recovery else "failover"
-    degraded_misses = args.degraded_miss_threshold
-    if degraded_misses is None and lossy:
-        degraded_misses = max(12, args.miss_threshold)
+    # Explicit flags win over the preset's entry.
+    overrides = dict(CHAOS_PRESETS.get(args.preset, {}))
+    if args.recovery_policy is not None:
+        overrides["recovery_policy"] = args.recovery_policy
+    if args.degraded_miss_threshold is not None:
+        overrides["degraded_miss_threshold"] = args.degraded_miss_threshold
+    elif "degraded_miss_threshold" in overrides:
+        # A raised --miss-threshold lifts the preset's tolerance with it.
+        overrides["degraded_miss_threshold"] = max(
+            overrides["degraded_miss_threshold"], args.miss_threshold
+        )
     try:
-        kinds = tuple(
-            FaultKind(entry.strip())
-            for entry in kinds_text.split(",")
-            if entry.strip()
-        ) if kinds_text else CampaignConfig.kinds
+        if args.kinds:
+            overrides["kinds"] = tuple(
+                FaultKind(entry.strip())
+                for entry in args.kinds.split(",")
+                if entry.strip()
+            )
         rebuild = dict(
             rebuild_time_min=args.recovery_rebuild_min,
             rebuild_time_max=args.recovery_rebuild_max,
             deadline=args.recovery_deadline,
         )
-        if args.recovery_success_prob is None:
+        if args.success_prob is None:
             microreboot = MicrorebootConfig(**rebuild)
         else:
             microreboot = MicrorebootConfig.with_uniform_prob(
-                args.recovery_success_prob, **rebuild
+                args.success_prob, **rebuild
             )
-        config = CampaignConfig(
+        overrides.update(
             trials=args.trials,
             seed=args.seed,
             vms=args.vms,
             faults_per_trial=args.faults,
-            kinds=kinds,
             detector=args.detector,
             miss_threshold=args.miss_threshold,
             recovery_time=args.recovery_time,
-            reliable_transport=lossy,
-            degraded_miss_threshold=degraded_misses,
-            recovery_policy=recovery_policy,
             microreboot=microreboot,
             serving=_serving_config(args),
-            integrity=_integrity_config(args, args.integrity or corruption),
+            integrity=_integrity_config(
+                args, args.integrity or "integrity" in overrides
+            ),
         )
+        config = CampaignConfig(**overrides)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    import time
-
-    from .profiling import throughput_line
-    from .telemetry import MetricsAggregator
-
     subscribers = []
-    writer = None
     if args.trace is not None:
         from .telemetry import TraceWriter
 
-        writer = TraceWriter(args.trace)
-        subscribers.append(writer)
-    # Per-trial kernels publish their event totals as ``sim.events``
-    # counters; aggregating them off the bus feeds the steps/sec line.
-    aggregator = MetricsAggregator()
-    subscribers.append(aggregator)
+        subscribers.append(TraceWriter(args.trace))
     started = time.perf_counter()
     try:
         result = ChaosCampaign(config, subscribers=subscribers).run()
     finally:
-        if writer is not None:
+        for writer in subscribers:
             writer.close()
     wall = time.perf_counter() - started
     print(render_table(
@@ -922,7 +907,7 @@ def _cmd_chaos(args) -> int:
         ],
         title="Per-trial outcomes",
     ))
-    print(throughput_line(aggregator.total("sim.events"), wall))
+    print(throughput_line(result.total_events_processed, wall))
     return 0 if result.total_dropped_vms == 0 else 1
 
 
@@ -1061,9 +1046,7 @@ def _cmd_sweep(args) -> int:
     from .experiments.presets import (
         BENCH_SEED,
         chaos_sweep,
-        corruption_sweep,
         fleet_sweep,
-        lossy_sweep,
         serving_sweep,
         table6_sweep,
         ycsb_sweep,
@@ -1084,11 +1067,7 @@ def _cmd_sweep(args) -> int:
                 ),
             )
         elif args.preset in ("chaos", "lossy", "corruption"):
-            builder = {
-                "lossy": lossy_sweep,
-                "corruption": corruption_sweep,
-            }.get(args.preset, chaos_sweep)
-            specs = builder(
+            specs = chaos_sweep(
                 trials=args.trials,
                 seed=args.seed if args.seed is not None else 0,
                 settle_time=3.0,
@@ -1096,6 +1075,7 @@ def _cmd_sweep(args) -> int:
                 recovery_time=args.recovery_time,
                 timeout=args.timeout,
                 retries=args.retries,
+                preset=None if args.preset == "chaos" else args.preset,
             )
         elif args.preset == "serving":
             serving_kwargs = {}
@@ -1187,57 +1167,39 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile(args) -> int:
     import time
 
-    from .profiling import WallClockSampler, profile_call, throughput_line
-
-    sampler = WallClockSampler() if args.spans else None
+    from .faults import FaultKind
+    from .profiling import profile_call, throughput_line
 
     if args.preset == "chaos":
-        from .faults import CampaignConfig, ChaosCampaign, FaultKind
+        from .faults import CampaignConfig, ChaosCampaign
 
-        config = CampaignConfig(
+        campaign = ChaosCampaign(CampaignConfig(
             trials=args.trials,
             seed=args.seed,
             vms=2,
             kinds=(FaultKind.HOST_CRASH, FaultKind.HYPERVISOR_CRASH),
             recovery_time=30.0,
-        )
-        subscribers = [sampler] if sampler else []
-
-        def run():
-            return ChaosCampaign(config, subscribers=subscribers).run()
-
-        def events(result):
-            return float(result.total_events_processed)
+        ))
     else:
-        from .faults import FaultKind
         from .fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 
         spec = FleetSpec(zones=3, racks_per_zone=1, hosts_per_rack=2,
                          spares=3, vms=8, seed=args.seed)
-        config = FleetCampaignConfig(
+        campaign = FleetCampaign(FleetCampaignConfig(
             spec=spec, faults=1, kinds=(FaultKind.ZONE_OUTAGE,),
-        )
-
-        def run():
-            return FleetCampaign(
-                config, subscribers=[sampler] if sampler else []
-            ).run()
-
-        def events(result):
-            return float(result.events_processed)
-
-    if sampler:
-        sampler.start()
+        ))
     started = time.perf_counter()
-    result, stats_text = profile_call(run, sort=args.sort, limit=args.limit)
+    result, stats_text = profile_call(
+        campaign.run, sort=args.sort, limit=args.limit
+    )
     wall = time.perf_counter() - started
     print(stats_text, end="")
-    if sampler:
-        print(render_table(
-            [spot.to_dict() for spot in sampler.hotspots(limit=args.limit)],
-            title="Host time by telemetry record name (flat attribution)",
-        ))
-    print(throughput_line(events(result), wall))
+    events = (
+        result.total_events_processed
+        if args.preset == "chaos"
+        else result.events_processed
+    )
+    print(throughput_line(events, wall))
     return 0
 
 

@@ -14,12 +14,15 @@ re-exports them — and registers the built-in trial kinds:
   block;
 * ``serving``     — one strategy of the five-way serving study
   (:class:`~repro.serving.ServingStudy`), reporting user-visible
-  p50/p99/p999 and SLO violations under an identical crash.
+  p50/p99/p999 and SLO violations under an identical crash;
+* ``fleet-trial`` — one seeded :class:`~repro.fleet.FleetCampaign`,
+  reporting its fingerprint and flat metrics.
 
-Every runner subscribes a :class:`~repro.telemetry.metrics.
-MetricsAggregator` to the trial simulation's bus and returns its
+Every simulation runner subscribes its own :class:`~repro.telemetry.
+metrics.MetricsAggregator` to the trial's buses and returns its
 summary alongside the metrics, so the sweep JSONL log carries the
-full telemetry percentile table per trial.
+full telemetry percentile table per trial; the serving runner returns
+its report's summary rows instead.
 
 The ``*_sweep`` builders assemble ready-to-run trial matrices for the
 CLI (``repro sweep --preset ...``) and CI smoke.
@@ -250,22 +253,13 @@ def run_chaos_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
 @register_trial("serving")
 def run_serving_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     """One strategy of the serving study: user-visible tail latency."""
-    from ..serving import ServingConfig, ServingStudy, StudyConfig
+    from ..faults.campaign import decode_params
+    from ..serving import ServingStudy, StudyConfig
 
-    params = dict(params)
+    params = decode_params(params)
     strategy = params.pop("strategy")
-    seed = int(params.pop("seed", BENCH_SEED))
-    serving_kwargs = {
-        key: params.pop(key)
-        for key in ("users", "rate_per_user", "demand", "slo", "hedge")
-        if key in params
-    }
-    study = ServingStudy(
-        StudyConfig(
-            serving=ServingConfig(**serving_kwargs), seed=seed, **params
-        )
-    )
-    outcome = study.run_strategy(strategy)
+    params.setdefault("seed", BENCH_SEED)
+    outcome = ServingStudy(StudyConfig(**params)).run_strategy(strategy)
     metrics: Dict[str, Any] = {
         "strategy": strategy,
         "fingerprint": outcome.fingerprint(),
@@ -291,11 +285,13 @@ def run_fleet_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     # The sweep runner injects the spec-level seed; the fleet seed
     # rides inside the nested FleetSpec params, so it is redundant here.
     params.pop("seed", None)
-    campaign = FleetCampaign(FleetCampaignConfig(spec=spec, **params))
-    result = campaign.run()
+    aggregator = MetricsAggregator()
+    result = FleetCampaign(
+        FleetCampaignConfig(spec=spec, **params), subscribers=[aggregator]
+    ).run()
     metrics: Dict[str, Any] = {"fingerprint": result.fingerprint()}
     metrics.update(result.metrics())
-    return metrics, campaign.aggregator.summary_rows()
+    return metrics, aggregator.summary_rows()
 
 
 def slowdown_pct(throughput: float, baseline: float) -> float:
@@ -314,7 +310,7 @@ def chaos_sweep(
     seed: int = 0,
     timeout: Optional[float] = None,
     retries: int = 0,
-    name: str = "chaos",
+    preset: Optional[str] = None,
     **config_overrides: Any,
 ) -> List[ExperimentSpec]:
     """One spec per chaos trial of one campaign configuration.
@@ -322,21 +318,25 @@ def chaos_sweep(
     The per-trial seed lives inside the campaign (derived from the
     campaign seed and the trial index), so the specs here carry the
     campaign seed explicitly in their params and fingerprints change
-    exactly when the campaign config does.  ``name`` only relabels the
-    specs — trial seeds stay keyed on the trial index, so a renamed
-    sweep replays the identical campaign.
+    exactly when the campaign config does.  ``preset`` names a
+    :data:`~repro.faults.campaign.CHAOS_PRESETS` entry whose overrides
+    apply under ``config_overrides``, and labels the specs (trial seeds
+    stay keyed on the trial index, so a relabelled sweep replays the
+    identical campaign).
     """
     if trials < 1:
         raise ValueError(f"a chaos sweep needs >= 1 trial: {trials}")
-    from ..faults import CampaignConfig
+    from ..faults.campaign import CHAOS_PRESETS, CampaignConfig
 
+    if preset is not None:
+        config_overrides = {**CHAOS_PRESETS[preset], **config_overrides}
     params = CampaignConfig(
         trials=trials, seed=seed, **config_overrides
     ).to_params()
     del params["trials"]
     return [
         ExperimentSpec(
-            name=f"{name}/trial-{index}",
+            name=f"{preset or 'chaos'}/trial-{index}",
             kind="chaos-trial",
             params={**params, "index": index, "trials": 1},
             seed=derive_seed(seed, f"chaos-trial-{index}"),
@@ -345,77 +345,6 @@ def chaos_sweep(
         )
         for index in range(trials)
     ]
-
-
-def lossy_sweep(
-    trials: int,
-    seed: int = 0,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    **config_overrides: Any,
-) -> List[ExperimentSpec]:
-    """Chaos trials over impaired links with the hardened transport.
-
-    Every fault is a link impairment (loss, corruption, latency
-    jitter), every engine runs the reliable transport, and the
-    heartbeat tolerates extra misses while the transport still commits
-    epochs — so the campaign measures retransmission and degradation
-    behaviour rather than failover.
-    """
-    from ..faults import FaultKind
-
-    defaults: Dict[str, Any] = dict(
-        kinds=(
-            FaultKind.LINK_LOSS,
-            FaultKind.PACKET_CORRUPT,
-            FaultKind.LATENCY_JITTER,
-        ),
-        reliable_transport=True,
-        degraded_miss_threshold=12,
-        faults_per_trial=2,
-    )
-    defaults.update(config_overrides)
-    return chaos_sweep(
-        trials, seed=seed, timeout=timeout, retries=retries,
-        name="lossy", **defaults,
-    )
-
-
-def corruption_sweep(
-    trials: int,
-    seed: int = 0,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    **config_overrides: Any,
-) -> List[ExperimentSpec]:
-    """Chaos trials injecting silent corruption under the integrity
-    overlay.
-
-    Every fault is one of the silent-corruption kinds (translator
-    drift, replica bitrot, torn apply), every engine runs epoch
-    attestation plus the background scrubber, and detected corruption
-    climbs the repair ladder — so the campaign measures detection
-    rate, latent-corruption windows and per-rung repair costs rather
-    than failover (``BENCH_integrity.json`` pins this preset).
-    """
-    from ..faults import FaultKind
-    from ..integrity import IntegrityConfig
-
-    defaults: Dict[str, Any] = dict(
-        kinds=(
-            FaultKind.TRANSLATOR_DRIFT,
-            FaultKind.REPLICA_BITROT,
-            FaultKind.TORN_APPLY,
-        ),
-        integrity=IntegrityConfig(),
-        faults_per_trial=2,
-        recovery_time=20.0,
-    )
-    defaults.update(config_overrides)
-    return chaos_sweep(
-        trials, seed=seed, timeout=timeout, retries=retries,
-        name="corruption", **defaults,
-    )
 
 
 def fleet_sweep(
@@ -510,11 +439,13 @@ def serving_sweep(
             params={
                 "strategy": strategy,
                 "seed": seed,
-                "users": users,
-                "rate_per_user": rate_per_user,
-                "demand": demand,
-                "slo": slo,
-                "hedge": hedge,
+                "serving": dict(
+                    users=users,
+                    rate_per_user=rate_per_user,
+                    demand=demand,
+                    slo=slo,
+                    hedge=hedge,
+                ),
                 **study_overrides,
             },
             seed=derive_seed(seed, f"serving-study:{strategy}"),
@@ -584,7 +515,7 @@ def table6_sweep(
     return grid.expand(base)
 
 
-#: CLI preset name -> builder keyword arguments it accepts.
+#: ``repro sweep --preset`` choices.
 SWEEP_PRESETS = (
     "chaos", "lossy", "corruption", "fleet", "serving", "ycsb", "table6",
 )

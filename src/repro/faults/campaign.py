@@ -179,6 +179,42 @@ class CampaignConfig:
         return cls(**decode_params(params))
 
 
+#: Named campaign presets: :class:`CampaignConfig` overrides read by
+#: both ``repro chaos --preset`` and ``chaos_sweep(preset=...)``.  The
+#: CLI's own flags win over an entry, so ``faults_per_trial`` only
+#: takes effect in sweeps (``repro chaos`` always passes ``--faults``).
+CHAOS_PRESETS: Dict[str, dict] = {
+    # Link impairments over the hardened transport; the heartbeat
+    # tolerates extra misses while the transport still commits epochs.
+    "lossy": dict(
+        kinds=(
+            FaultKind.LINK_LOSS,
+            FaultKind.PACKET_CORRUPT,
+            FaultKind.LATENCY_JITTER,
+        ),
+        reliable_transport=True,
+        degraded_miss_threshold=12,
+        faults_per_trial=2,
+    ),
+    # Only in-place-recoverable faults: a dead host has no RAM to
+    # preserve, and a partition leaves nothing to microreboot.
+    "recovery": dict(
+        kinds=(FaultKind.HYPERVISOR_CRASH, FaultKind.HYPERVISOR_HANG),
+        recovery_policy="hybrid",
+    ),
+    # Silent corruption under attestation, scrubbing and repair.
+    "corruption": dict(
+        kinds=(
+            FaultKind.TRANSLATOR_DRIFT,
+            FaultKind.REPLICA_BITROT,
+            FaultKind.TORN_APPLY,
+        ),
+        integrity=IntegrityConfig(),
+        faults_per_trial=2,
+    ),
+}
+
+
 def decode_params(params: dict) -> dict:
     """``params`` with the objects :meth:`CampaignConfig.to_params`
     flattened rebuilt: fault-kind values become a :class:`FaultKind`
@@ -678,17 +714,13 @@ class ChaosCampaign:
         # Throughput bookkeeping, measured after close-out so the perf
         # benchmark's steps/sec covers everything the trial cost.  The
         # checkpoint count comes off the bus (every engine's epochs,
-        # including the re-protection engines fleet.engines never saw);
-        # the counters put both numbers back on it for traces and CLI
-        # aggregators.
+        # including the re-protection engines fleet.engines never saw).
         trial.events_processed = sim.events_processed
         trial.checkpoints = sum(
             1
             for span in recorder.spans("replication.checkpoint")
             if not span.attrs.get("discarded")
         )
-        sim.telemetry.counter("sim.events", float(trial.events_processed))
-        sim.telemetry.counter("sim.checkpoints", float(trial.checkpoints))
         return trial
 
     def _serve_overlay(
@@ -832,12 +864,8 @@ class ChaosCampaign:
             sum(r.value for r in recorder.counters("transport.fencing_rejected"))
         )
         if self.config.integrity is not None:
-            integrity = IntegrityTally.collect(fleet.engines.values(), sim.now)
-            integrity.scrub_audits = int(
-                recorder.counter_total("integrity.scrub.audit")
-            )
-            integrity.failover_refusals = int(
-                recorder.counter_total("integrity.failover_refused")
+            integrity = IntegrityTally.collect(
+                fleet.engines.values(), sim.now, recorder
             )
             for name, value in vars(integrity).items():
                 setattr(trial, name, value)

@@ -5,9 +5,11 @@ One :class:`FleetCampaign` stands up a whole fleet through the
 draws a correlated fault schedule (zone/rack outages) from the fleet
 calendar's seeded stream, fans it out through the
 :class:`~repro.fleet.faults.FleetFaultInjector`, and runs detection ->
-failover -> queued re-protection to quiescence.  Per-shard telemetry
-is merged through one :class:`~repro.telemetry.MetricsAggregator`
-subscribed to every calendar.
+failover -> queued re-protection to quiescence.  Every number is
+harvested from simulation state; only the serving and integrity
+overlays read the bus, through one :class:`~repro.telemetry.Recorder`
+per shard.  With both off, no bus is enabled unless the caller
+subscribes to one.
 
 Determinism: everything — placement, shard seeds, outage draws,
 admission decisions — derives from ``FleetSpec.seed``, so
@@ -31,7 +33,7 @@ from ..faults.spec import (
     ZONE_KINDS,
 )
 from ..integrity import IntegrityTally
-from ..telemetry import MetricsAggregator
+from ..telemetry import Recorder
 from ..telemetry.metrics import fingerprint_float as _finite
 from .faults import FleetFaultInjector
 from .orchestrator import FleetOrchestrator
@@ -60,8 +62,8 @@ class FleetCampaignConfig:
     #: Serving overlay: open-loop users split across the fleet's VMs,
     #: measured post hoc from per-shard telemetry and merged through
     #: the shard-mergeable histogram at the fleet clock (None = off,
-    #: the default — fleet fingerprints are unchanged and no per-shard
-    #: recorders are even attached).
+    #: the default — fleet fingerprints are unchanged and serving
+    #: attaches no per-shard recorders).
     serving: Optional["ServingConfig"] = None
 
     def __post_init__(self):
@@ -138,8 +140,6 @@ class FleetCampaignResult:
     observed_seconds: float = 0.0
     downtime_seconds: float = 0.0
     nines: float = math.inf
-    #: Merged per-shard telemetry (rows from MetricsAggregator).
-    telemetry: Dict[str, int] = field(default_factory=dict)
     #: Fleet-wide :class:`~repro.serving.ServingReport` (per-shard
     #: overlays merged at the fleet clock); None when serving is off.
     serving: Optional[object] = None
@@ -249,32 +249,27 @@ class FleetCampaign:
         subscribers: Sequence[Callable] = (),
     ):
         self.config = config or FleetCampaignConfig()
-        #: Extra telemetry subscribers attached to every calendar the
-        #: campaign creates (mirrors :class:`ChaosCampaign`) — used by
-        #: ``repro profile --spans`` and trace capture.
+        #: Telemetry subscribers attached to every calendar the
+        #: campaign creates (mirrors :class:`ChaosCampaign`) — e.g. the
+        #: fleet sweep trial's aggregator or a trace writer.
         self.subscribers = list(subscribers)
         #: Populated by :meth:`run` (kept for inspection in tests).
         self.orchestrator: Optional[FleetOrchestrator] = None
         self.injector: Optional[FleetFaultInjector] = None
-        self.aggregator: Optional[MetricsAggregator] = None
-        #: Per-shard recorders, attached only when serving is enabled.
-        self.shard_recorders: Dict[str, "Recorder"] = {}
+        #: Per-shard recorders, attached only when the serving or
+        #: integrity overlay reads the bus.
+        self.shard_recorders: Dict[str, Recorder] = {}
 
     def run(self) -> FleetCampaignResult:
         config = self.config
         orchestrator = FleetOrchestrator(config.spec)
         self.orchestrator = orchestrator
-        aggregator = MetricsAggregator()
-        self.aggregator = aggregator
-        orchestrator.sharded.subscribe(aggregator)
         for subscriber in self.subscribers:
             orchestrator.sharded.subscribe(subscriber)
-        if config.serving is not None:
+        if config.serving is not None or config.spec.integrity is not None:
             # Recorders go on before seeding so replica windows see the
             # seeding spans.  They are passive subscribers: attaching
             # them changes no draw and no event, only host memory.
-            from ..telemetry import Recorder
-
             self.shard_recorders = {
                 name: Recorder.attach(shard.sim.telemetry)
                 for name, shard in orchestrator.shards.items()
@@ -293,7 +288,7 @@ class FleetCampaign:
         schedule = self._draw_schedule(orchestrator)
         injector.schedule(schedule)
         orchestrator.run_for(config.fault_window + config.recovery_time)
-        result = self._harvest(orchestrator, injector, aggregator, start)
+        result = self._harvest(orchestrator, injector, start)
         if config.serving is not None:
             result.serving = self._serve_overlay(orchestrator, serve_start)
         orchestrator.halt("campaign over")
@@ -398,7 +393,6 @@ class FleetCampaign:
         self,
         orchestrator: FleetOrchestrator,
         injector: FleetFaultInjector,
-        aggregator: MetricsAggregator,
         start: float,
     ) -> FleetCampaignResult:
         config = self.config
@@ -469,41 +463,14 @@ class FleetCampaign:
         result.nines = observed_availability_nines(
             max(downtime, 0.0), result.observed_seconds
         )
-        # Merged per-shard telemetry: pin the counters that prove the
-        # fan-out actually crossed shard boundaries (and, with the
-        # overlay armed, that scrubbing/refusal ran fleet-wide).
-        pinned = {
-            "host.failure",
-            "host.recovery",
-            "fleet.fault.injected",
-            "fleet.reprotect.enqueued",
-            "fleet.reprotect.started",
-            "fleet.quantum",
-        }
-        if spec.integrity is not None:
-            pinned |= {
-                "integrity.scrub.audit",
-                "integrity.corruption_detected",
-                "integrity.failover_refused",
-                "integrity.alarm",
-            }
-        for row in aggregator.summary_rows():
-            if row["name"] in pinned:
-                result.telemetry[row["name"]] = int(row["count"])
         if spec.integrity is not None:
             # Each shard's ledgers are read at that shard's own clock.
-            integrity = IntegrityTally.total(
+            result.integrity = IntegrityTally.total(
                 IntegrityTally.collect(
                     [*shard.engines.values(), *shard.reseed_engines.values()],
                     shard.sim.now,
+                    self.shard_recorders[name],
                 )
-                for shard in orchestrator.shards.values()
+                for name, shard in orchestrator.shards.items()
             )
-            integrity.scrub_audits = result.telemetry.get(
-                "integrity.scrub.audit", 0
-            )
-            integrity.failover_refusals = result.telemetry.get(
-                "integrity.failover_refused", 0
-            )
-            result.integrity = integrity
         return result

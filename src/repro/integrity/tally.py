@@ -3,8 +3,7 @@
 A tally is built from the engines a run protected: the monitors' event
 ledgers are the ground truth for injected vs caught corruption, the
 repairers count terminal alarms.  Scrub audits and failover refusals
-live on the telemetry bus, so each campaign fills those two in from
-its own recorder or aggregator.
+live on the telemetry bus, so they are read off the run's recorder.
 """
 
 from __future__ import annotations
@@ -49,9 +48,17 @@ class IntegrityTally:
     latent_windows: List[float] = field(default_factory=list)
 
     @classmethod
-    def collect(cls, engines: Iterable, now: float) -> "IntegrityTally":
-        """Walk the event ledgers of ``engines`` at time ``now``."""
-        tally = cls()
+    def collect(
+        cls, engines: Iterable, now: float, recorder
+    ) -> "IntegrityTally":
+        """Walk the event ledgers of ``engines`` at time ``now``; the
+        bus-only counts come off ``recorder``."""
+        tally = cls(
+            failover_refusals=int(
+                recorder.counter_total("integrity.failover_refused")
+            ),
+            scrub_audits=int(recorder.counter_total("integrity.scrub.audit")),
+        )
         for engine in engines:
             monitor = engine.integrity_monitor
             if monitor is None:

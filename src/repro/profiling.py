@@ -2,20 +2,13 @@
 
 Everything in this repository is measured in *simulated* seconds; this
 module is the one place that deliberately looks at the *host* clock.
-It offers two complementary views, both strictly opt-in so the default
-experiment path stays bit-for-bit untouched:
+It never touches the telemetry bus, so profiling a run cannot change
+the work being measured.
 
-* :class:`WallClockSampler` — a telemetry-bus subscriber that stamps
-  every record with ``time.perf_counter_ns()`` on arrival and
-  attributes the host time between consecutive records to the record
-  that just landed.  Because instrumented components emit a record when
-  they finish a unit of work (a checkpoint span, a transfer counter),
-  the inter-record gap is a cheap, surprisingly sharp estimate of what
-  each instrumented region costs the host — no tracing overhead beyond
-  one clock read per record.
-* :func:`profile_call` — a cProfile harness around any callable,
-  returning both its result and the formatted top-N stats.  The
-  ``repro profile`` CLI command wraps a chaos or fleet campaign in it.
+:func:`profile_call` runs any callable under cProfile and returns its
+result with the formatted top-N stats; the ``repro profile`` CLI
+command wraps a chaos or fleet campaign in it.  For host time split by
+layer, run ``python3 bench/run.py --trace 1``.
 
 :func:`throughput` and :func:`throughput_line` turn (events, wall
 seconds) pairs into the one-line ``steps/sec`` figures the CLI prints
@@ -28,80 +21,7 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
-
-
-@dataclass
-class HotSpot:
-    """Host cost attributed to one telemetry record name."""
-
-    name: str
-    records: int
-    wall_ns: int
-
-    @property
-    def wall_seconds(self) -> float:
-        return self.wall_ns / 1e9
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "records": self.records,
-            "wall_s": self.wall_seconds,
-        }
-
-
-class WallClockSampler:
-    """Attribute host wall-clock time to telemetry record names.
-
-    Subscribe it to a :class:`~repro.telemetry.bus.TelemetryBus` (which
-    enables the bus) and run; afterwards :meth:`hotspots` ranks record
-    names by attributed host time.  The attribution is *flat*: the gap
-    since the previous record (or since :meth:`start`) is charged to
-    the arriving record, so dense record streams resolve finely and a
-    silent stretch is charged to whatever record ends it.
-
-    ``clock`` is injectable (any ``() -> int`` nanosecond counter) so
-    tests can drive the sampler deterministically.
-    """
-
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
-        self._clock = clock
-        self._last: Optional[int] = None
-        self._buckets: dict = {}
-        self.records = 0
-        self.total_wall_ns = 0
-
-    def start(self) -> "WallClockSampler":
-        """Arm the sampler: host time starts accruing from now."""
-        self._last = self._clock()
-        return self
-
-    def __call__(self, record: Any) -> None:
-        now = self._clock()
-        if self._last is not None:
-            elapsed = now - self._last
-            name = getattr(record, "name", None) or type(record).__name__
-            bucket = self._buckets.get(name)
-            if bucket is None:
-                self._buckets[name] = [1, elapsed]
-            else:
-                bucket[0] += 1
-                bucket[1] += elapsed
-            self.total_wall_ns += elapsed
-        self._last = now
-        self.records += 1
-
-    def hotspots(self, limit: Optional[int] = None) -> List[HotSpot]:
-        """Record names ranked by attributed host time, hottest first."""
-        spots = [
-            HotSpot(name=name, records=count, wall_ns=wall)
-            for name, (count, wall) in self._buckets.items()
-        ]
-        spots.sort(key=lambda spot: (-spot.wall_ns, spot.name))
-        return spots if limit is None else spots[:limit]
+from typing import Any, Callable, Tuple
 
 
 def profile_call(

@@ -71,8 +71,11 @@ class StudyConfig:
     remus_period: float = 0.05
     here_t_max: float = 0.2
     colo_interval: float = 0.02
-    #: Microreboot success probability for ``hybrid-recovery``.
-    recovery_success_prob: float = 1.0
+    #: The microreboot model ``hybrid-recovery`` runs (by default every
+    #: rebuild succeeds).
+    microreboot: MicrorebootConfig = field(
+        default_factory=lambda: MicrorebootConfig.with_uniform_prob(1.0)
+    )
     vm_memory_bytes: int = 1 << 30
     vcpus: int = 2
 
@@ -87,11 +90,6 @@ class StudyConfig:
             raise ValueError(
                 "need 0 < restart_min <= restart_max: "
                 f"{self.restart_min}, {self.restart_max}"
-            )
-        if not 0.0 <= self.recovery_success_prob <= 1.0:
-            raise ValueError(
-                "recovery_success_prob must be in [0, 1]: "
-                f"{self.recovery_success_prob}"
             )
 
 
@@ -190,9 +188,7 @@ class ServingStudy:
             microreboot = MicrorebootEngine(
                 sim,
                 deployment.primary,
-                config=MicrorebootConfig.with_uniform_prob(
-                    config.recovery_success_prob
-                ),
+                config=config.microreboot,
             )
             gate = RecoveryController(
                 sim,

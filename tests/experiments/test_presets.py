@@ -107,7 +107,9 @@ class TestSweepBuilders:
             STRATEGIES
         )
         assert all(spec.kind == "serving" for spec in specs)
-        assert all(spec.params["users"] == 10_000 for spec in specs)
+        assert all(
+            spec.params["serving"]["users"] == 10_000 for spec in specs
+        )
         # Each strategy derives its own seed: no stream is shared.
         assert len({spec.seed for spec in specs}) == len(specs)
         assert len({spec.fingerprint() for spec in specs}) == len(specs)
@@ -131,11 +133,13 @@ class TestServingTrialRunner:
         metrics, rows = run_serving_trial({
             "strategy": "here",
             "seed": 3,
-            "users": 2_000,
-            "rate_per_user": 0.05,
-            "demand": 0.001,
-            "slo": 0.1,
-            "hedge": 0.5,
+            "serving": {
+                "users": 2_000,
+                "rate_per_user": 0.05,
+                "demand": 0.001,
+                "slo": 0.1,
+                "hedge": 0.5,
+            },
             "duration": 4.0,
             "crash_at": 2.0,
         })

@@ -5,6 +5,7 @@ import pytest
 from repro.faults import FaultKind
 from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
 from repro.hardware.units import MIB
+from repro.telemetry import MetricsAggregator
 
 
 def config(**kwargs):
@@ -63,12 +64,22 @@ class TestCampaignRun:
         assert result.events_processed > 0
 
     def test_merged_telemetry_spans_fleet_and_shards(self):
-        result = FleetCampaign(config()).run()
+        aggregator = MetricsAggregator()
+        result = FleetCampaign(config(), subscribers=[aggregator]).run()
         # fleet.quantum lives on the fleet bus, host.failure on shard
-        # buses: both arriving proves the aggregator merged calendars.
-        assert result.telemetry["fleet.quantum"] == result.quanta_executed
-        assert result.telemetry["host.failure"] >= 1
-        assert result.telemetry["fleet.reprotect.enqueued"] == result.enqueued
+        # buses: both arriving proves one subscriber merges calendars.
+        assert aggregator.count("fleet.quantum") == result.quanta_executed
+        assert aggregator.count("host.failure") >= 1
+        assert aggregator.count("fleet.reprotect.enqueued") == result.enqueued
+
+    def test_default_campaign_leaves_every_bus_disabled(self):
+        campaign = FleetCampaign(config())
+        campaign.run()
+        orchestrator = campaign.orchestrator
+        assert not orchestrator.fleet_sim.telemetry.enabled
+        assert orchestrator.shards
+        for shard in orchestrator.shards.values():
+            assert not shard.sim.telemetry.enabled
 
     def test_availability_accounting(self):
         result = FleetCampaign(config()).run()

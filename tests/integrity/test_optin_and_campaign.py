@@ -121,10 +121,10 @@ class TestCorruptionCampaign:
 
 class TestSweepPreset:
     def test_corruption_preset_is_registered(self):
-        from repro.experiments.presets import SWEEP_PRESETS, corruption_sweep
+        from repro.experiments.presets import SWEEP_PRESETS, chaos_sweep
 
         assert "corruption" in SWEEP_PRESETS
-        specs = corruption_sweep(trials=2, seed=5)
+        specs = chaos_sweep(trials=2, seed=5, preset="corruption")
         assert len(specs) == 2
         for spec in specs:
             assert spec.params["integrity"] == asdict(IntegrityConfig())

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.recovery import MicrorebootConfig
 from repro.serving import (
     STRATEGIES,
     ServingConfig,
@@ -34,10 +35,12 @@ class TestStudyConfig:
             dict(crash_at=5.0),  # at/after the 4s window
             dict(restart_min=0.0),
             dict(restart_min=3.0, restart_max=2.0),
-            dict(recovery_success_prob=1.5),
         ):
             with pytest.raises(ValueError):
                 small_config(**kwargs)
+        # The nested microreboot model validates its own probabilities.
+        with pytest.raises(ValueError):
+            small_config(microreboot=MicrorebootConfig.with_uniform_prob(1.5))
 
 
 class TestRunStrategy:

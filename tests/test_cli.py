@@ -255,6 +255,15 @@ class TestChaosCommand:
             "--miss-threshold", "5", "--degraded-miss-threshold", "2",
         ]) == 2
 
+    def test_lossy_threshold_rises_with_a_larger_miss_threshold(self, capsys):
+        # The preset's degraded threshold (12) is lifted to 20, not
+        # rejected as lower than --miss-threshold.
+        assert main([
+            "chaos", "--preset", "lossy", "--trials", "1", "--vms", "1",
+            "--miss-threshold", "20", "--recovery-time", "15",
+        ]) == 0
+        assert "transport retransmits" in capsys.readouterr().out
+
     def test_negative_recovery_time_is_a_clean_error(self, capsys):
         assert main(["chaos", "--trials", "1", "--recovery-time", "-100"]) == 2
         assert "error: recovery_time must be >= 0" in capsys.readouterr().err
@@ -610,3 +619,16 @@ class TestRecoveryCli:
             "--recovery-policy", "hybrid",
         ]) == 0
         assert "in-place recoveries" in capsys.readouterr().out
+
+
+class TestProfileCommand:
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "chaos", "--trials", "1", "--limit", "3"],
+        ["--preset", "fleet"],
+    ])
+    def test_prints_pstats_and_throughput(self, capsys, argv):
+        assert main(["profile", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "function calls" in out
+        assert "Ordered by: cumulative time" in out
+        assert out.rstrip().splitlines()[-1].startswith("throughput: ")
