@@ -14,6 +14,7 @@ operator would do with the real system's tooling:
   violations) of one crash under every fault-tolerance strategy;
 * ``repro sweep``      — a parallel, cached experiment sweep with
   optional regression gating (``--baseline``);
+* ``repro profile``    — any other command under cProfile;
 * ``repro experiments``— list every table/figure benchmark and how to
   run it.
 """
@@ -106,6 +107,59 @@ def _attach_trace(sim, args):
     return writer
 
 
+def _overlay_parent() -> argparse.ArgumentParser:
+    """The serving and integrity overlay flags ``chaos`` and ``fleet`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    serving = parent.add_argument_group("serving overlay")
+    serving.add_argument(
+        "--serving-users", type=_non_negative_int, default=0,
+        help="open-loop users whose tail latency each "
+             "trial measures post hoc from the bus (0 = off, the "
+             "default — fingerprints and traces are unchanged)",
+    )
+    serving.add_argument(
+        "--serving-rate-per-user", type=_positive_float, default=0.01,
+        help="requests per second per user",
+    )
+    serving.add_argument(
+        "--serving-demand", type=_positive_float, default=0.0005,
+        help="per-request service demand (seconds)",
+    )
+    serving.add_argument(
+        "--serving-slo", type=_positive_float, default=0.25,
+        help="latency SLO (seconds); lost or "
+             "over-SLO requests count as violations",
+    )
+    serving.add_argument(
+        "--serving-hedge", type=_probability, default=0.0,
+        help="probability a request is cloned to the "
+             "replica (first response wins)",
+    )
+    integrity = parent.add_argument_group("integrity overlay")
+    integrity.add_argument(
+        "--integrity", action="store_true",
+        help="arm the checkpoint-integrity overlay (epoch attestation, "
+             "background replica scrubbing, repair escalation) on every "
+             "engine (chaos: implied by --preset corruption)",
+    )
+    integrity.add_argument(
+        "--scrub-interval", type=_positive_float, default=0.25,
+        help="seconds between scrubber audit passes",
+    )
+    integrity.add_argument(
+        "--scrub-bandwidth-gib", type=_positive_float, default=2.0,
+        help="audit bandwidth budget (GiB/s of "
+             "replica state re-read per scrub pass)",
+    )
+    integrity.add_argument(
+        "--promote-suspect-replicas", action="store_true",
+        help="let failover promote a replica whose "
+             "state is corruption-suspect or quarantined (default: "
+             "refuse and alarm)",
+    )
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -115,6 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    overlays = _overlay_parent()
 
     demo = subparsers.add_parser(
         "demo", help="DoS exploit -> heterogeneous failover kill chain"
@@ -139,12 +194,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degradation", type=float, default=0.0,
         help="HERE's target degradation D in [0, 1); 0 pins T to T_max",
     )
-    replicate.add_argument("--memory-gib", type=float, default=8.0)
+    replicate.add_argument("--memory-gib", type=_positive_float, default=8.0)
     replicate.add_argument(
-        "--load", type=float, default=0.3,
+        "--load", type=_probability, default=0.3,
         help="memory microbenchmark load fraction",
     )
-    replicate.add_argument("--duration", type=float, default=120.0)
+    replicate.add_argument("--duration", type=_positive_float, default=120.0)
     replicate.add_argument("--seed", type=int, default=0)
     _add_trace_argument(replicate)
 
@@ -152,8 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "migrate", help="one live migration (Xen stock vs HERE)"
     )
     migrate.add_argument("--mode", choices=["xen", "here"], default="here")
-    migrate.add_argument("--memory-gib", type=float, default=8.0)
-    migrate.add_argument("--load", type=float, default=0.0)
+    migrate.add_argument("--memory-gib", type=_positive_float, default=8.0)
+    migrate.add_argument("--load", type=_probability, default=0.0)
     migrate.add_argument("--seed", type=int, default=0)
     _add_trace_argument(migrate)
 
@@ -177,29 +232,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     chaos = subparsers.add_parser(
-        "chaos",
+        "chaos", parents=[overlays],
         help="seeded chaos campaign: faults -> failover -> re-protection",
     )
     chaos.add_argument(
         "--preset",
-        choices=["default", "lossy", "fleet", "recovery", "corruption"],
+        choices=["default", "lossy", "recovery", "corruption"],
         default="default",
         help="'lossy' draws link impairments and runs the hardened "
              "transport (reliable chunked commit + degradation ladder); "
-             "'fleet' runs each trial as a fleet-scale zone-outage "
-             "campaign on the sharded kernel; 'recovery' draws "
-             "hypervisor crashes/hangs and answers them with the "
-             "hybrid microreboot-then-failover policy; 'corruption' "
+             "'recovery' draws hypervisor crashes/hangs and answers "
+             "them with the hybrid microreboot-then-failover policy; "
+             "'corruption' "
              "injects silent state corruption (translator drift, "
              "replica bitrot, torn applies) and arms the integrity "
              "overlay — attestation, scrubbing, repair escalation",
     )
-    chaos.add_argument("--zones", type=_positive_int, default=3,
-                       help="fleet preset: availability zones")
-    chaos.add_argument("--spares", type=_positive_int, default=3,
-                       help="fleet preset: spare-pool hosts")
-    chaos.add_argument("--quantum", type=_positive_float, default=0.5,
-                       help="fleet preset: sharded-kernel quantum (seconds)")
     chaos.add_argument("--trials", type=_positive_int, default=3)
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument("--vms", type=_positive_int, default=2)
@@ -250,51 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--recovery-deadline", type=_positive_float, default=2.0,
         help="escalate a microreboot still in flight after this long (s)",
     )
-    chaos.add_argument(
-        "--serving-users", type=_non_negative_int, default=0,
-        help="serving overlay: open-loop users whose tail latency each "
-             "trial measures post hoc from the bus (0 = off, the "
-             "default — fingerprints and traces are unchanged)",
-    )
-    chaos.add_argument(
-        "--serving-rate-per-user", type=_positive_float, default=0.01,
-        help="serving overlay: requests per second per user",
-    )
-    chaos.add_argument(
-        "--serving-demand", type=_positive_float, default=0.0005,
-        help="serving overlay: per-request service demand (seconds)",
-    )
-    chaos.add_argument(
-        "--serving-slo", type=_positive_float, default=0.25,
-        help="serving overlay: latency SLO (seconds); lost or "
-             "over-SLO requests count as violations",
-    )
-    chaos.add_argument(
-        "--serving-hedge", type=_probability, default=0.0,
-        help="serving overlay: probability a request is cloned to the "
-             "replica (first response wins)",
-    )
-    chaos.add_argument(
-        "--integrity", action="store_true",
-        help="arm the checkpoint-integrity overlay (epoch attestation, "
-             "background replica scrubbing, repair escalation) on every "
-             "engine; implied by --preset corruption",
-    )
-    chaos.add_argument(
-        "--scrub-interval", type=_positive_float, default=0.25,
-        help="integrity overlay: seconds between scrubber audit passes",
-    )
-    chaos.add_argument(
-        "--scrub-bandwidth-gib", type=_positive_float, default=2.0,
-        help="integrity overlay: audit bandwidth budget (GiB/s of "
-             "replica state re-read per scrub pass)",
-    )
-    chaos.add_argument(
-        "--promote-suspect-replicas", action="store_true",
-        help="integrity overlay: let failover promote a replica whose "
-             "state is corruption-suspect or quarantined (default: "
-             "refuse and alarm)",
-    )
     _add_trace_argument(chaos)
 
     serve = subparsers.add_parser(
@@ -333,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
 
     fleet = subparsers.add_parser(
-        "fleet",
+        "fleet", parents=[overlays],
         help="fleet-scale campaign: zone outage -> failovers -> "
              "queued re-protection onto spares",
     )
@@ -434,21 +437,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser(
         "profile",
-        help="run a campaign under cProfile and rank host-time hot spots",
+        help="run another command under cProfile and rank host-time "
+             "hot spots",
     )
-    profile.add_argument(
-        "--preset", choices=["chaos", "fleet"], default="chaos",
-        help="which campaign to profile",
-    )
-    profile.add_argument("--trials", type=_positive_int, default=2,
-                         help="chaos preset: trials per run")
-    profile.add_argument("--seed", type=int, default=0)
     profile.add_argument(
         "--sort", choices=["cumulative", "tottime", "ncalls"],
         default="cumulative", help="pstats sort key",
     )
     profile.add_argument("--limit", type=_positive_int, default=20,
                          help="rows of profiler output to print")
+    profile.add_argument(
+        "target", metavar="command",
+        choices=sorted(name for name in _COMMANDS if name != "profile"),
+        help="the command to profile",
+    )
+    profile.add_argument("target_args", nargs=argparse.REMAINDER,
+                         metavar="args", help="that command's arguments")
 
     subparsers.add_parser(
         "experiments", help="list every paper table/figure benchmark"
@@ -505,19 +509,23 @@ def _cmd_replicate(args) -> int:
         print("error: --degradation must be in [0, 1)", file=sys.stderr)
         return 2
     period = args.period if args.period > 0 else math.inf
-    deployment = ProtectedDeployment(
-        DeploymentSpec(
-            engine=args.engine,
-            # Remus and COLO both need matching device models on the
-            # two sides; only HERE crosses hypervisor families.
-            secondary_flavor="kvm" if args.engine == "here" else "xen",
-            period=period,
-            comparison_interval=args.comparison_interval,
-            target_degradation=args.degradation,
-            memory_bytes=int(args.memory_gib * GIB),
-            seed=args.seed,
+    try:
+        deployment = ProtectedDeployment(
+            DeploymentSpec(
+                engine=args.engine,
+                # Remus and COLO both need matching device models on the
+                # two sides; only HERE crosses hypervisor families.
+                secondary_flavor="kvm" if args.engine == "here" else "xen",
+                period=period,
+                comparison_interval=args.comparison_interval,
+                target_degradation=args.degradation,
+                memory_bytes=int(args.memory_gib * GIB),
+                seed=args.seed,
+            )
         )
-    )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     trace = _attach_trace(deployment.sim, args)
     workload = MemoryMicrobenchmark(
         deployment.sim, deployment.vm, load=args.load
@@ -754,62 +762,6 @@ def _integrity_config(args, armed: bool):
     )
 
 
-def _run_fleet_chaos(args) -> int:
-    """``repro chaos --preset fleet``: one fleet campaign per trial."""
-    from .faults import FaultKind
-    from .fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
-    from .simkernel.random import derive_seed
-
-    rows = []
-    dropped = 0
-    try:
-        for index in range(args.trials):
-            spec = FleetSpec(
-                zones=args.zones,
-                racks_per_zone=1,
-                hosts_per_rack=2,
-                spares=args.spares,
-                vms=args.vms,
-                quantum=args.quantum,
-                seed=derive_seed(args.seed, f"fleet-trial-{index}"),
-                integrity=_integrity_config(args, args.integrity),
-                recovery_policy=args.recovery_policy or "failover",
-            )
-            config = FleetCampaignConfig(
-                spec=spec,
-                faults=args.faults,
-                recovery_time=args.recovery_time,
-                kinds=(FaultKind.ZONE_OUTAGE,),
-                serving=_serving_config(args),
-            )
-            result = FleetCampaign(config).run()
-            dropped += result.dropped_vms
-            row = {
-                "trial": index,
-                "faults": "; ".join(result.fault_descriptions) or "none",
-                "failovers": result.failovers,
-                "re-protected": result.reprotections,
-                "dropped": result.dropped_vms,
-                "mean unprotected (s)": result.mean_unprotected_window,
-                "nines": result.nines,
-            }
-            if result.serving is not None:
-                row["serving requests"] = result.serving.requests
-                row["serving lost"] = result.serving.lost
-                row["serving p999 (s)"] = result.serving.p999
-            rows.append(row)
-    except (ValueError, RuntimeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_table(
-        rows,
-        title=f"Fleet chaos campaign (seed={args.seed}, "
-              f"zones={args.zones}, spares={args.spares}, "
-              f"quantum={args.quantum:g}s)",
-    ))
-    return 0 if dropped == 0 else 1
-
-
 def _cmd_chaos(args) -> int:
     import time
 
@@ -818,8 +770,6 @@ def _cmd_chaos(args) -> int:
     from .profiling import throughput_line
     from .recovery import MicrorebootConfig
 
-    if args.preset == "fleet":
-        return _run_fleet_chaos(args)
     # Explicit flags win over the preset's entry.
     overrides = dict(CHAOS_PRESETS.get(args.preset, {}))
     if args.recovery_policy is not None:
@@ -964,6 +914,7 @@ def _cmd_fleet(args) -> int:
             anti_affinity=args.anti_affinity,
             max_vms_per_link=args.max_vms_per_link,
             recovery_policy=args.recovery_policy,
+            integrity=_integrity_config(args, args.integrity),
         )
         config = FleetCampaignConfig(
             spec=spec,
@@ -972,6 +923,7 @@ def _cmd_fleet(args) -> int:
             recovery_time=args.recovery_time,
             faults=args.faults,
             kinds=(FaultKind(args.kind),),
+            serving=_serving_config(args),
         )
         campaign = FleetCampaign(config)
         started = time.perf_counter()
@@ -1165,42 +1117,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import time
+    from .profiling import profile_call
 
-    from .faults import FaultKind
-    from .profiling import profile_call, throughput_line
-
-    if args.preset == "chaos":
-        from .faults import CampaignConfig, ChaosCampaign
-
-        campaign = ChaosCampaign(CampaignConfig(
-            trials=args.trials,
-            seed=args.seed,
-            vms=2,
-            kinds=(FaultKind.HOST_CRASH, FaultKind.HYPERVISOR_CRASH),
-            recovery_time=30.0,
-        ))
-    else:
-        from .fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
-
-        spec = FleetSpec(zones=3, racks_per_zone=1, hosts_per_rack=2,
-                         spares=3, vms=8, seed=args.seed)
-        campaign = FleetCampaign(FleetCampaignConfig(
-            spec=spec, faults=1, kinds=(FaultKind.ZONE_OUTAGE,),
-        ))
-    started = time.perf_counter()
-    result, stats_text = profile_call(
-        campaign.run, sort=args.sort, limit=args.limit
+    code, stats_text = profile_call(
+        lambda: main([args.target, *args.target_args]),
+        sort=args.sort, limit=args.limit,
     )
-    wall = time.perf_counter() - started
     print(stats_text, end="")
-    events = (
-        result.total_events_processed
-        if args.preset == "chaos"
-        else result.events_processed
-    )
-    print(throughput_line(events, wall))
-    return 0
+    return code
 
 
 _COMMANDS = {

@@ -536,45 +536,16 @@ class ChaosCampaign:
         self,
         config: Optional[CampaignConfig] = None,
         subscribers: Sequence = (),
-        runner=None,
     ):
         self.config = config or CampaignConfig()
         #: Extra telemetry subscribers (e.g. a TraceWriter) attached to
         #: every trial's bus, so one JSONL file carries the campaign.
         self.subscribers = list(subscribers)
-        #: Optional :class:`~repro.experiments.runner.SweepRunner`;
-        #: when set, trials execute through it (parallel, cached,
-        #: crash-isolated) instead of the in-process loop.  Per-trial
-        #: seeds are derived identically on both paths, so the same
-        #: seed yields the same :meth:`CampaignResult.fingerprint`.
-        self.runner = runner
 
     def run(self) -> CampaignResult:
-        if self.runner is not None:
-            return self._run_through(self.runner)
         result = CampaignResult(config=self.config)
         for index in range(self.config.trials):
             result.trials.append(self.run_trial(index))
-        return result
-
-    def _run_through(self, runner) -> CampaignResult:
-        """Execute every trial as a sweep spec through ``runner``."""
-        if self.subscribers:
-            raise ValueError(
-                "live telemetry subscribers cannot cross worker processes; "
-                "run the campaign serially (runner=None) to stream a trace"
-            )
-        from ..experiments.presets import chaos_sweep
-
-        sweep = runner.run(chaos_sweep(**vars(self.config)))
-        result = CampaignResult(config=self.config)
-        for outcome in sweep.outcomes:  # spec order == trial index order
-            if not outcome.ok:
-                raise RuntimeError(
-                    f"chaos trial {outcome.spec.name!r} {outcome.status}: "
-                    f"{outcome.error}"
-                )
-            result.trials.append(TrialResult.from_dict(outcome.metrics["trial"]))
         return result
 
     # -- one trial ----------------------------------------------------------

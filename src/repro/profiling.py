@@ -6,9 +6,9 @@ It never touches the telemetry bus, so profiling a run cannot change
 the work being measured.
 
 :func:`profile_call` runs any callable under cProfile and returns its
-result with the formatted top-N stats; the ``repro profile`` CLI
-command wraps a chaos or fleet campaign in it.  For host time split by
-layer, run ``python3 bench/run.py --trace 1``.
+result with the formatted top-N stats; ``repro profile <command>``
+runs any other CLI command in it.  For host time split by layer, run
+``python3 bench/run.py --trace 1``.
 
 :func:`throughput` and :func:`throughput_line` turn (events, wall
 seconds) pairs into the one-line ``steps/sec`` figures the CLI prints

@@ -170,15 +170,12 @@ class PauseStage(Stage):
 
 
 class CaptureDirtyStage(Stage):
-    """Read (and clear) the dirty bitmap into the context."""
+    """Read and clear the dirty bitmap into the context."""
 
     name = "capture-dirty"
 
-    def __init__(self, clear: bool = True):
-        self.clear = clear
-
     def run(self, ctx):
-        ctx.snapshot = ctx.primary.read_dirty_bitmap(ctx.vm, clear=self.clear)
+        ctx.snapshot = ctx.primary.read_dirty_bitmap(ctx.vm, clear=True)
         ctx.dirty_pages = ctx.snapshot.unique_dirty_pages()
         yield from ()
 
@@ -267,6 +264,12 @@ class ChunkedTransferPolicy(TransferPolicy):
 class TransferStage(Stage):
     """Fig. 3 step 2: move the dirty pages over the interconnect.
 
+    With a reliable transport in the context the bulk send is followed
+    by per-chunk delivery: the transport stages the epoch's chunks on
+    the replica, drawing per-chunk loss/corruption verdicts from the
+    link and retransmitting until everything is staged (or the epoch
+    tears).  The bulk timing model is the same either way.
+
     ``page_cost`` selects the per-page CPU cost regime:
 
     * ``"context"`` — whatever :class:`CompressStage` put in the
@@ -317,22 +320,6 @@ class TransferStage(Stage):
             wire_bytes_per_page=ctx.wire_bytes_per_page,
         )
         span.end(pages=ctx.dirty_pages, threads=self.policy.threads)
-
-
-class ReliableTransferStage(TransferStage):
-    """A :class:`TransferStage` followed by per-chunk reliable delivery.
-
-    The bulk timing model is unchanged (same ``timed_page_send``); the
-    transport then stages the epoch's chunks on the replica, drawing
-    per-chunk loss/corruption verdicts from the link and retransmitting
-    until everything is staged (or the epoch tears).  Without a
-    transport in the context this degenerates to the classic stage.
-    """
-
-    name = "transfer"
-
-    def run(self, ctx):
-        yield from super().run(ctx)
         if ctx.transport is not None:
             yield from ctx.transport.chunk_rounds(
                 ctx, threads=self.policy.threads
@@ -362,16 +349,6 @@ class AttestStage(Stage):
 
     name = "attest"
 
-    def __init__(
-        self,
-        span_name: Optional[str] = "integrity.attest",
-        charge_component: Optional[str] = "replication",
-        timed: bool = True,
-    ):
-        self.span_name = span_name
-        self.charge_component = charge_component
-        self.timed = timed
-
     def run(self, ctx):
         from ..integrity.config import (
             ATTEST_COST_PER_DEVICE,
@@ -386,20 +363,14 @@ class AttestStage(Stage):
             len(state.vcpus) * ATTEST_COST_PER_VCPU
             + len(state.devices) * ATTEST_COST_PER_DEVICE
         )
-        span = NULL_SPAN
-        if self.span_name:
-            span = ctx.bus.span(
-                self.span_name,
-                parent=ctx.state_parent,
-                engine=ctx.engine_name,
-                epoch=ctx.epoch,
-            )
-        if self.charge_component:
-            ctx.primary.host.cpu_accounting.charge(
-                self.charge_component, attest_time
-            )
-        if self.timed:
-            yield ctx.sim.timeout(attest_time)
+        span = ctx.bus.span(
+            "integrity.attest",
+            parent=ctx.state_parent,
+            engine=ctx.engine_name,
+            epoch=ctx.epoch,
+        )
+        ctx.primary.host.cpu_accounting.charge("replication", attest_time)
+        yield ctx.sim.timeout(attest_time)
         chunk_ids = ()
         if ctx.snapshot is not None:
             chunk_ids = tuple(
@@ -507,10 +478,14 @@ class AwaitAckStage(Stage):
 
     ``dirty_pages`` is rounded to whole pages here: the dirty-tracking
     model hands back analytic *expected* counts, but the wire message
-    describes discrete pages.  ``applier`` overrides how the payload
-    reaches the replica — the ASR default goes through the
+    describes discrete pages.  Without a transport in the context the
+    payload reaches the replica through ``applier`` — by default the
     :class:`~repro.replication.protocol.ReplicaSession` epoch protocol;
-    COLO loads the replica VM directly.
+    COLO loads the replica VM directly — and one ack comes back.  With
+    a reliable transport the epoch is committed two-phase instead: the
+    replica applies only once every chunk is staged, lost acks are
+    retried with backoff, and a fenced-out commit surfaces
+    :class:`~repro.replication.transport.StalePrimaryError`.
     """
 
     name = "await-ack"
@@ -526,6 +501,7 @@ class AwaitAckStage(Stage):
         self.applier = applier
 
     def run(self, ctx):
+        transport = ctx.transport
         page_count = whole_pages(ctx.dirty_pages)
         message = CheckpointMessage(
             vm_name=ctx.vm.name,
@@ -536,6 +512,8 @@ class AwaitAckStage(Stage):
             state_payload=ctx.payload,
             initial=ctx.initial,
             guest_os_failed=ctx.vm.guest_os_failed,
+            # Only the two-phase commit stamps the primary generation.
+            generation=ctx.generation if transport is not None else 0,
             attestation=ctx.attestation,
         )
         span = NULL_SPAN
@@ -546,54 +524,14 @@ class AwaitAckStage(Stage):
                 engine=ctx.engine_name,
                 epoch=ctx.epoch,
             )
-        if self.applier is not None:
-            self.applier(ctx, message)
+        if transport is not None:
+            yield from transport.commit_epoch(ctx, message)
         else:
-            ctx.replica_session.apply(message)
-        yield ctx.link.ack()
-        span.end()
-        if self.counter:
-            ctx.bus.counter(self.counter, 1.0, engine=ctx.engine_name)
-
-
-class ReliableAwaitAckStage(AwaitAckStage):
-    """Epoch commit through the reliable transport (two-phase commit).
-
-    The replica only applies the payload when every chunk of the epoch
-    is staged; lost acks are retried with backoff, a fenced-out commit
-    surfaces :class:`~repro.replication.transport.StalePrimaryError`.
-    Without a transport in the context this degenerates to the classic
-    stage, so the same pipeline serves both paths.
-    """
-
-    name = "await-ack"
-
-    def run(self, ctx):
-        if ctx.transport is None:
-            yield from super().run(ctx)
-            return
-        page_count = whole_pages(ctx.dirty_pages)
-        message = CheckpointMessage(
-            vm_name=ctx.vm.name,
-            epoch=ctx.epoch,
-            sent_at=ctx.sim.now,
-            dirty_pages=page_count,
-            memory_bytes=page_count * PAGE_SIZE,
-            state_payload=ctx.payload,
-            initial=ctx.initial,
-            guest_os_failed=ctx.vm.guest_os_failed,
-            generation=ctx.generation,
-            attestation=ctx.attestation,
-        )
-        span = NULL_SPAN
-        if self.span_name:
-            span = ctx.bus.span(
-                self.span_name,
-                parent=ctx.state_parent,
-                engine=ctx.engine_name,
-                epoch=ctx.epoch,
-            )
-        yield from ctx.transport.commit_epoch(ctx, message)
+            if self.applier is not None:
+                self.applier(ctx, message)
+            else:
+                ctx.replica_session.apply(message)
+            yield ctx.link.ack()
         span.end()
         if self.counter:
             ctx.bus.counter(self.counter, 1.0, engine=ctx.engine_name)
@@ -615,9 +553,6 @@ class CommitReleaseStage(Stage):
     """Fig. 3 step 6: release the acknowledged epoch; record the result."""
 
     name = "commit-release"
-
-    def __init__(self, counter: Optional[str] = "replication.bytes_sent"):
-        self.counter = counter
 
     def run(self, ctx):
         ctx.released = ctx.device_manager.release_epoch(ctx.traffic_epoch)
@@ -648,8 +583,11 @@ class CommitReleaseStage(Stage):
             packets_released=len(ctx.released),
         )
         bus = ctx.bus
-        if bus.enabled and self.counter:
-            bus.counter(self.counter, ctx.bytes_sent, engine=ctx.engine_name)
+        if bus.enabled:
+            bus.counter(
+                "replication.bytes_sent", ctx.bytes_sent,
+                engine=ctx.engine_name,
+            )
         yield from ()
 
 
@@ -744,14 +682,11 @@ def checkpoint_stages(config, heterogeneous: bool) -> List[Stage]:
         policy: TransferPolicy = ChunkedTransferPolicy(threads)
     else:
         policy = FlatTransferPolicy(threads, scan_tracked=True)
-    reliable = getattr(config, "transport", None) is not None
-    transfer_cls = ReliableTransferStage if reliable else TransferStage
-    ack_cls = ReliableAwaitAckStage if reliable else AwaitAckStage
     stages: List[Stage] = [
         PauseStage(),
         CaptureDirtyStage(),
         CompressStage(config.compression),
-        transfer_cls(
+        TransferStage(
             policy,
             span_name="replication.checkpoint.transfer",
             page_cost="context",
@@ -765,7 +700,7 @@ def checkpoint_stages(config, heterogeneous: bool) -> List[Stage]:
         stages.append(TranslateStage())
     stages += [
         ShipStateStage(),
-        ack_cls(),
+        AwaitAckStage(),
         ResumeStage(),
         CommitReleaseStage(),
     ]
@@ -789,11 +724,8 @@ def seeding_sync_stages(config, heterogeneous: bool) -> List[Stage]:
     transfer/translate/ack tail: ship the residual dirty set at the
     stop-and-copy page rate, then establish checkpoint 0.
     """
-    reliable = getattr(config, "transport", None) is not None
-    transfer_cls = ReliableTransferStage if reliable else TransferStage
-    ack_cls = ReliableAwaitAckStage if reliable else AwaitAckStage
     stages: List[Stage] = [
-        transfer_cls(
+        TransferStage(
             FlatTransferPolicy(config.checkpoint_threads),
             page_cost="migration",
         ),
@@ -804,7 +736,7 @@ def seeding_sync_stages(config, heterogeneous: bool) -> List[Stage]:
         stages.append(AttestStage())
     if heterogeneous:
         stages.append(TranslateStage())
-    stages += [ShipStateStage(), ack_cls()]
+    stages += [ShipStateStage(), AwaitAckStage()]
     return stages
 
 

@@ -126,45 +126,43 @@ class TestTrace:
 
 
 class TestCampaignThroughSweepRunner:
-    """The injected-runner path: trials execute through SweepRunner."""
+    """The parallel chaos path: ``chaos_sweep`` specs through SweepRunner."""
+
+    @staticmethod
+    def sweep(config, runner):
+        from repro.experiments.presets import chaos_sweep
+
+        sweep = runner.run(chaos_sweep(**vars(config)))
+        assert all(outcome.ok for outcome in sweep.outcomes)
+        return sweep
 
     def test_serial_equals_parallel_fingerprint(self):
         from repro.experiments import SweepRunner
+        from repro.faults.campaign import CampaignResult, TrialResult
 
         config = fast_config(
             trials=3, kinds=(FaultKind.HOST_CRASH, FaultKind.HYPERVISOR_CRASH)
         )
         serial = ChaosCampaign(config).run()
-        parallel = ChaosCampaign(config, runner=SweepRunner(jobs=3)).run()
+        sweep = self.sweep(config, SweepRunner(jobs=3))
+        trials = [outcome.metrics["trial"] for outcome in sweep.outcomes]
+        assert trials == [trial.to_dict() for trial in serial.trials]
+        parallel = CampaignResult(
+            config=config, trials=[TrialResult.from_dict(t) for t in trials]
+        )
         assert parallel.fingerprint() == serial.fingerprint()
-        assert [t.faults for t in parallel.trials] == [
-            t.faults for t in serial.trials
-        ]
-        assert [t.seed for t in parallel.trials] == [
-            t.seed for t in serial.trials
-        ]
 
     def test_runner_path_uses_the_cache(self, tmp_path):
         from repro.experiments import ResultStore, SweepRunner
 
         config = fast_config(trials=2, kinds=(FaultKind.HOST_CRASH,))
         store = ResultStore(str(tmp_path))
-        first = ChaosCampaign(
-            config, runner=SweepRunner(jobs=1, store=store)
-        ).run()
-        rerun = SweepRunner(jobs=1, store=store)
-        second = ChaosCampaign(config, runner=rerun).run()
-        assert second.fingerprint() == first.fingerprint()
-
-    def test_live_subscribers_cannot_cross_processes(self):
-        from repro.experiments import SweepRunner
-
-        campaign = ChaosCampaign(
-            fast_config(), subscribers=[lambda record: None],
-            runner=SweepRunner(jobs=2),
-        )
-        with pytest.raises(ValueError, match="subscribers"):
-            campaign.run()
+        first = self.sweep(config, SweepRunner(jobs=1, store=store))
+        second = self.sweep(config, SweepRunner(jobs=1, store=store))
+        assert all(outcome.cached for outcome in second.outcomes)
+        assert [o.metrics for o in second.outcomes] == [
+            o.metrics for o in first.outcomes
+        ]
 
 
 class TestTrialResultRoundTrip:

@@ -87,6 +87,28 @@ class TestReplicateCommand:
         assert recorder.spans("replication.checkpoint.pause")
 
 
+class TestReplicateMigrateInputValidation:
+    @pytest.mark.parametrize("argv", [
+        ["replicate", "--duration", "-5"],
+        ["replicate", "--memory-gib", "-1"],
+        ["migrate", "--memory-gib", "0"],
+        ["replicate", "--load", "1.5"],
+        ["migrate", "--load", "-0.5"],
+        ["replicate", "--period", "0"],
+        ["replicate", "--engine", "remus", "--period", "0"],
+        ["replicate", "--engine", "colo", "--comparison-interval", "0"],
+    ])
+    def test_bad_input_is_a_clean_usage_error(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestMigrateCommand:
     def test_here_migration(self, capsys):
         assert main(["migrate", "--mode", "here", "--memory-gib", "1"]) == 0
@@ -238,17 +260,6 @@ class TestChaosCommand:
         ]) == 2
         assert "--integrity" in capsys.readouterr().err
 
-    def test_fleet_preset_carries_the_serving_overlay(self, capsys):
-        code = main([
-            "chaos", "--preset", "fleet", "--trials", "1", "--seed", "11",
-            "--vms", "4", "--recovery-time", "25",
-            "--serving-users", "4000",
-        ])
-        out = capsys.readouterr().out
-        assert code in (0, 1)
-        assert "serving requests" in out
-        assert "serving p999 (s)" in out
-
     def test_degraded_threshold_must_cover_miss_threshold(self, capsys):
         assert main([
             "chaos", "--preset", "lossy", "--trials", "1",
@@ -267,34 +278,6 @@ class TestChaosCommand:
     def test_negative_recovery_time_is_a_clean_error(self, capsys):
         assert main(["chaos", "--trials", "1", "--recovery-time", "-100"]) == 2
         assert "error: recovery_time must be >= 0" in capsys.readouterr().err
-
-    def test_fleet_preset_forwards_integrity_and_recovery_flags(
-        self, capsys, monkeypatch
-    ):
-        from repro import fleet
-        from repro.hardware.units import GIB
-        from repro.integrity import IntegrityConfig
-
-        configs = []
-
-        class Recording(fleet.FleetCampaign):
-            def __init__(self, config, *args, **kwargs):
-                configs.append(config)
-                super().__init__(config, *args, **kwargs)
-
-        monkeypatch.setattr(fleet, "FleetCampaign", Recording)
-        code = main([
-            "chaos", "--preset", "fleet", "--trials", "1", "--vms", "4",
-            "--recovery-time", "10", "--integrity", "--scrub-interval", "0.5",
-            "--scrub-bandwidth-gib", "1", "--promote-suspect-replicas",
-            "--recovery-policy", "hybrid",
-        ])
-        assert code in (0, 1)
-        spec = configs[0].spec
-        assert spec.recovery_policy == "hybrid"
-        assert spec.integrity == IntegrityConfig(
-            scrub_interval=0.5, scrub_bandwidth=GIB, refuse_failover=False
-        )
 
 
 class TestServeCommand:
@@ -499,15 +482,85 @@ class TestFleetCommand:
         assert main(["fleet", "--zones", "1", "--spares", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_chaos_fleet_preset_runs_trials(self, capsys):
+    def test_chaos_has_no_fleet_preset(self, capsys):
+        # Fleet campaigns run through `repro fleet` (one) and
+        # `repro sweep --preset fleet` (several seeded trials).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--preset", "fleet"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fleet'" in capsys.readouterr().err
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Every FleetCampaign the CLI builds: ``(config, result)``."""
+        from repro import fleet
+
+        runs = []
+
+        class Recording(fleet.FleetCampaign):
+            def run(self):
+                result = super().run()
+                runs.append((self.config, result))
+                return result
+
+        monkeypatch.setattr(fleet, "FleetCampaign", Recording)
+        return runs
+
+    def test_serving_overlay_prints_serving_rows(self, capsys):
+        code = self.fleet("--seed", "11", "--serving-users", "4000")
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "serving requests" in out
+        assert "serving p999 (s)" in out
+        assert "corruptions (injected/detected/repaired)" not in out
+
+    def test_overlays_match_a_direct_campaign(self, capsys, recorded):
+        from dataclasses import replace
+
+        from repro.fleet import FleetCampaign
+        from repro.integrity import IntegrityConfig
+        from repro.serving import ServingConfig
+
         code = main([
-            "chaos", "--preset", "fleet", "--trials", "2", "--vms", "4",
-            "--recovery-time", "25",
+            "fleet", "--vms", "4", "--seed", "5",
+            "--serving-users", "4000", "--integrity",
         ])
         out = capsys.readouterr().out
         assert code in (0, 1)
-        assert "Fleet chaos campaign" in out
-        assert "trial" in out
+        for row in ("serving requests", "serving p999 (s)",
+                    "corruptions (injected/detected/repaired)",
+                    "failovers refused (suspect replica)"):
+            assert row in out
+        [(config, cli_result)] = recorded
+        # The flag defaults are the overlay configs' own defaults.
+        direct_config = replace(
+            config,
+            spec=replace(config.spec, integrity=IntegrityConfig()),
+            serving=ServingConfig(users=4000),
+        )
+        assert direct_config == config
+        direct = FleetCampaign(direct_config).run()
+        assert cli_result.fingerprint() == direct.fingerprint()
+
+    def test_overlay_flags_reach_the_campaign(self, capsys, recorded):
+        from repro.hardware.units import GIB
+        from repro.integrity import IntegrityConfig
+        from repro.serving import ServingConfig
+
+        code = main([
+            "fleet", "--vms", "4", "--recovery-time", "10",
+            "--integrity", "--scrub-interval", "0.5",
+            "--scrub-bandwidth-gib", "1", "--promote-suspect-replicas",
+            "--serving-users", "500", "--serving-slo", "0.5",
+            "--recovery-policy", "hybrid",
+        ])
+        assert code in (0, 1)
+        [(config, _result)] = recorded
+        assert config.spec.recovery_policy == "hybrid"
+        assert config.spec.integrity == IntegrityConfig(
+            scrub_interval=0.5, scrub_bandwidth=GIB, refuse_failover=False
+        )
+        assert config.serving == ServingConfig(users=500, slo=0.5)
 
     def test_sweep_fleet_preset(self, capsys, tmp_path):
         code = main([
@@ -522,19 +575,19 @@ class TestFleetCommand:
 
 
 class TestFleetArgumentValidation:
-    @pytest.mark.parametrize("command", ["fleet", "chaos", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet", "sweep"])
     def test_zones_must_be_positive(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--zones", "0"])
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fleet", "chaos", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet", "sweep"])
     def test_spares_must_be_positive(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--spares", "-2"])
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fleet", "chaos", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet", "sweep"])
     def test_quantum_must_be_positive(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--quantum", "0"])
@@ -623,12 +676,39 @@ class TestRecoveryCli:
 
 class TestProfileCommand:
     @pytest.mark.parametrize("argv", [
-        ["--preset", "chaos", "--trials", "1", "--limit", "3"],
-        ["--preset", "fleet"],
+        ["--limit", "3", "chaos", "--trials", "1", "--vms", "1",
+         "--recovery-time", "20"],
+        ["fleet", "--vms", "4", "--recovery-time", "10"],
     ])
     def test_prints_pstats_and_throughput(self, capsys, argv):
         assert main(["profile", *argv]) == 0
         out = capsys.readouterr().out
-        assert "function calls" in out
-        assert "Ordered by: cumulative time" in out
-        assert out.rstrip().splitlines()[-1].startswith("throughput: ")
+        lines = out.splitlines()
+        stats = next(
+            i for i, line in enumerate(lines) if "function calls" in line
+        )
+        assert lines[stats - 1].startswith("throughput: ")
+        assert "Ordered by: cumulative time" in "\n".join(lines[stats:])
+
+    def test_returns_the_profiled_commands_exit_code(self, capsys):
+        assert main(["profile", "plan", "--kvm-hosts", "0"]) == 1
+        assert "UNPLACED" in capsys.readouterr().out
+
+    def test_profiled_output_equals_the_plain_run(self, capsys):
+        argv = ["replicate", "--memory-gib", "1", "--duration", "5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(["profile", "--sort", "tottime", *argv]) == 0
+        profiled = capsys.readouterr().out
+        assert profiled.startswith(plain)
+        assert "Ordered by: internal time" in profiled
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "chaos"],
+        ["--trials", "2", "chaos"],
+        ["profile", "chaos"],
+    ])
+    def test_old_options_and_self_profiling_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", *argv])
+        assert excinfo.value.code == 2
