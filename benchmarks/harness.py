@@ -7,103 +7,22 @@ testbed, prints the same rows/series the paper reports, and asserts the
 fall).  Absolute values are not expected to match the paper's hardware;
 EXPERIMENTS.md records paper-vs-measured for every experiment.
 
-The Table-6 replication setups, the benchmark seed and the workload
-attachment helper live in :mod:`repro.experiments.presets` — the same
-definitions drive ``repro sweep`` — and are re-exported here so
-benchmark files keep importing from ``harness``.
+The Table-6 replication setups, the benchmark seed and the trial
+runners behind each measurement (``run_throughput_trial`` for a bar of
+Figs. 11–16, ``run_checkpoint_trial`` for a point of Fig. 8) live in
+:mod:`repro.experiments.presets` — the same definitions drive ``repro
+sweep``.  The setups and the seed are re-exported here.
 
 Run with::
 
     pytest benchmarks/ --benchmark-only -s
 """
 
-from __future__ import annotations
-
-from typing import Dict, Optional
-
-from repro.cluster import ProtectedDeployment, unprotected_baseline
 from repro.experiments.presets import (  # noqa: F401  (re-exports)
     BENCH_SEED,
-    MEASURE_WINDOW,
     TABLE6,
     ReplicationSetup,
-    attach_workload,
-    slowdown_pct,
 )
-from repro.hardware.units import GIB
-from repro.workloads import IdleWorkload, MemoryMicrobenchmark
-
-
-# ---------------------------------------------------------------------------
-# Experiment runners
-# ---------------------------------------------------------------------------
-
-def run_throughput_experiment(
-    setup: ReplicationSetup,
-    workload_kind: str,
-    workload_kwargs: Optional[Dict] = None,
-    memory_gib: float = 8.0,
-    duration: float = MEASURE_WINDOW,
-    seed: int = BENCH_SEED,
-) -> Dict:
-    """One bar of Figs. 11–16: run a workload under one configuration.
-
-    Returns throughput (ops/s), the slowdown vs. the workload's
-    modelled baseline, and replication statistics.
-    """
-    memory_bytes = int(memory_gib * GIB)
-    workload_kwargs = dict(workload_kwargs or {})
-    if setup.engine == "none":
-        deployment = unprotected_baseline(setup.spec(memory_bytes, seed))
-        workload = attach_workload(deployment, workload_kind, **workload_kwargs)
-        deployment.run_for(duration)
-        mark_throughput = workload.throughput()
-        stats = None
-    else:
-        deployment = ProtectedDeployment(setup.spec(memory_bytes, seed))
-        workload = attach_workload(deployment, workload_kind, **workload_kwargs)
-        deployment.start_protection(wait_ready=True)
-        mark = workload.mark()
-        deployment.run_for(duration)
-        mark_throughput = workload.throughput_since(mark)
-        stats = deployment.stats
-    return {
-        "config": setup.label,
-        "throughput": mark_throughput,
-        "baseline_rate": workload.work_rate(),
-        "stats": stats,
-        "workload": workload,
-        "deployment": deployment,
-    }
-
-
-def run_checkpoint_experiment(
-    setup: ReplicationSetup,
-    memory_gib: float,
-    load: float,
-    duration: float = 100.0,
-    seed: int = BENCH_SEED,
-) -> Dict:
-    """One point of Fig. 8: mean checkpoint transfer time + degradation."""
-    deployment = ProtectedDeployment(setup.spec(int(memory_gib * GIB), seed))
-    if load > 0:
-        MemoryMicrobenchmark(deployment.sim, deployment.vm, load=load).start()
-    else:
-        IdleWorkload(deployment.sim, deployment.vm).start()
-    deployment.start_protection(wait_ready=True)
-    deployment.run_for(duration)
-    stats = deployment.stats
-    return {
-        "config": setup.label,
-        "memory_gib": memory_gib,
-        "load": load,
-        "mean_transfer_s": stats.mean_transfer_duration(),
-        "mean_pause_s": stats.mean_pause_duration(),
-        "mean_degradation": stats.mean_degradation(),
-        "checkpoints": stats.checkpoint_count,
-        "stats": stats,
-        "deployment": deployment,
-    }
 
 
 def print_header(title: str) -> None:

@@ -14,9 +14,10 @@ Paper shapes (numbers above the bars are slowdown %):
 import pytest
 
 from repro.analysis import render_bars, render_table
+from repro.experiments.presets import run_throughput_trial
 from repro.workloads import CORE_WORKLOADS
 
-from harness import TABLE6, print_header, run_throughput_experiment, slowdown_pct
+from harness import print_header
 
 CONFIGS = ["Xen", "HERE(3Sec,0%)", "HERE(5Sec,0%)", "Remus3Sec", "Remus5Sec"]
 WORKLOADS = ["a", "b", "c", "d", "e", "f"]
@@ -26,17 +27,16 @@ def run_matrix():
     rows = []
     for mix in WORKLOADS:
         for config in CONFIGS:
-            result = run_throughput_experiment(
-                TABLE6[config], "ycsb", {"mix": mix}
-            )
+            metrics, _ = run_throughput_trial({
+                "setup": config, "workload": "ycsb",
+                "workload_kwargs": {"mix": mix},
+            })
             rows.append(
                 {
                     "workload": mix,
                     "config": config,
-                    "kops": result["throughput"] / 1000.0,
-                    "slowdown_pct": slowdown_pct(
-                        result["throughput"], result["baseline_rate"]
-                    ),
+                    "kops": metrics["throughput_ops_s"] / 1000.0,
+                    "slowdown_pct": metrics["slowdown_pct"],
                 }
             )
     return rows

@@ -14,8 +14,9 @@ Paper shapes:
 import pytest
 
 from repro.analysis import render_bars
+from repro.experiments.presets import run_throughput_trial
 
-from harness import TABLE6, print_header, run_throughput_experiment, slowdown_pct
+from harness import print_header
 
 CONFIGS = ["Xen", "HERE(inf,20%)", "HERE(inf,30%)", "HERE(inf,40%)"]
 TARGETS = {"HERE(inf,20%)": 20.0, "HERE(inf,30%)": 30.0, "HERE(inf,40%)": 40.0}
@@ -26,17 +27,17 @@ def run_matrix():
     rows = []
     for mix in WORKLOADS:
         for config in CONFIGS:
-            result = run_throughput_experiment(
-                TABLE6[config], "ycsb", {"mix": mix}, duration=150.0
-            )
+            metrics, _ = run_throughput_trial({
+                "setup": config, "workload": "ycsb",
+                "workload_kwargs": {"mix": mix},
+                "duration": 150.0,
+            })
             rows.append(
                 {
                     "workload": mix,
                     "config": config,
-                    "kops": result["throughput"] / 1000.0,
-                    "slowdown_pct": slowdown_pct(
-                        result["throughput"], result["baseline_rate"]
-                    ),
+                    "kops": metrics["throughput_ops_s"] / 1000.0,
+                    "slowdown_pct": metrics["slowdown_pct"],
                 }
             )
     return rows

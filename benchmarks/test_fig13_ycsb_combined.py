@@ -12,8 +12,9 @@ until the degradation budget is spent: observed ~48–53 % for the
 import pytest
 
 from repro.analysis import render_bars
+from repro.experiments.presets import run_throughput_trial
 
-from harness import TABLE6, print_header, run_throughput_experiment, slowdown_pct
+from harness import print_header
 
 CONFIGS = ["Xen", "HERE(3sec,40%)", "HERE(5sec,30%)"]
 WORKLOADS = ["a", "b", "c", "d", "e", "f"]
@@ -23,20 +24,18 @@ def run_matrix():
     rows = []
     for mix in WORKLOADS:
         for config in CONFIGS:
-            result = run_throughput_experiment(
-                TABLE6[config], "ycsb", {"mix": mix}, duration=150.0
-            )
+            metrics, _ = run_throughput_trial({
+                "setup": config, "workload": "ycsb",
+                "workload_kwargs": {"mix": mix},
+                "duration": 150.0,
+            })
             rows.append(
                 {
                     "workload": mix,
                     "config": config,
-                    "kops": result["throughput"] / 1000.0,
-                    "slowdown_pct": slowdown_pct(
-                        result["throughput"], result["baseline_rate"]
-                    ),
-                    "mean_period_s": (
-                        result["stats"].mean_period() if result["stats"] else 0.0
-                    ),
+                    "kops": metrics["throughput_ops_s"] / 1000.0,
+                    "slowdown_pct": metrics["slowdown_pct"],
+                    "mean_period_s": metrics.get("mean_period_s", 0.0),
                 }
             )
     return rows

@@ -9,8 +9,9 @@ cactuBSSN (the dirtiest benchmark) suffers most under both systems.
 import pytest
 
 from repro.analysis import render_bars
+from repro.experiments.presets import run_throughput_trial
 
-from harness import TABLE6, print_header, run_throughput_experiment, slowdown_pct
+from harness import print_header
 
 CONFIGS = ["Xen", "HERE(3Sec,0%)", "HERE(5Sec,0%)", "Remus3Sec", "Remus5Sec"]
 BENCHMARKS = ["gcc", "cactuBSSN", "namd", "lbm"]
@@ -20,17 +21,16 @@ def run_matrix():
     rows = []
     for spec_benchmark in BENCHMARKS:
         for config in CONFIGS:
-            result = run_throughput_experiment(
-                TABLE6[config], "spec", {"benchmark": spec_benchmark}
-            )
+            metrics, _ = run_throughput_trial({
+                "setup": config, "workload": "spec",
+                "workload_kwargs": {"benchmark": spec_benchmark},
+            })
             rows.append(
                 {
                     "benchmark": spec_benchmark,
                     "config": config,
-                    "rate_ops_s": result["throughput"],
-                    "slowdown_pct": slowdown_pct(
-                        result["throughput"], result["baseline_rate"]
-                    ),
+                    "rate_ops_s": metrics["throughput_ops_s"],
+                    "slowdown_pct": metrics["slowdown_pct"],
                 }
             )
     return rows

@@ -10,8 +10,9 @@ because very frequent checkpoints add scheduling and cache costs.
 import pytest
 
 from repro.analysis import render_bars
+from repro.experiments.presets import run_throughput_trial
 
-from harness import TABLE6, print_header, run_throughput_experiment, slowdown_pct
+from harness import print_header
 
 CONFIGS = ["Xen", "HERE(inf,20%)", "HERE(inf,30%)", "HERE(inf,40%)"]
 BENCHMARKS = ["gcc", "cactuBSSN", "namd", "lbm"]
@@ -21,18 +22,17 @@ def run_matrix():
     rows = []
     for spec_benchmark in BENCHMARKS:
         for config in CONFIGS:
-            result = run_throughput_experiment(
-                TABLE6[config], "spec", {"benchmark": spec_benchmark},
-                duration=150.0,
-            )
+            metrics, _ = run_throughput_trial({
+                "setup": config, "workload": "spec",
+                "workload_kwargs": {"benchmark": spec_benchmark},
+                "duration": 150.0,
+            })
             rows.append(
                 {
                     "benchmark": spec_benchmark,
                     "config": config,
-                    "rate_ops_s": result["throughput"],
-                    "slowdown_pct": slowdown_pct(
-                        result["throughput"], result["baseline_rate"]
-                    ),
+                    "rate_ops_s": metrics["throughput_ops_s"],
+                    "slowdown_pct": metrics["slowdown_pct"],
                 }
             )
     return rows

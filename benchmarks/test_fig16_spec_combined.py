@@ -11,8 +11,9 @@ consumed: observed ~42–50 % and ~30–39 % in the paper.
 import pytest
 
 from repro.analysis import render_bars
+from repro.experiments.presets import run_throughput_trial
 
-from harness import TABLE6, print_header, run_throughput_experiment, slowdown_pct
+from harness import print_header
 
 CONFIGS = ["Xen", "HERE(3sec,40%)", "HERE(5sec,30%)"]
 BENCHMARKS = ["gcc", "cactuBSSN", "namd", "lbm"]
@@ -22,21 +23,18 @@ def run_matrix():
     rows = []
     for spec_benchmark in BENCHMARKS:
         for config in CONFIGS:
-            result = run_throughput_experiment(
-                TABLE6[config], "spec", {"benchmark": spec_benchmark},
-                duration=150.0,
-            )
+            metrics, _ = run_throughput_trial({
+                "setup": config, "workload": "spec",
+                "workload_kwargs": {"benchmark": spec_benchmark},
+                "duration": 150.0,
+            })
             rows.append(
                 {
                     "benchmark": spec_benchmark,
                     "config": config,
-                    "rate_ops_s": result["throughput"],
-                    "slowdown_pct": slowdown_pct(
-                        result["throughput"], result["baseline_rate"]
-                    ),
-                    "mean_period_s": (
-                        result["stats"].mean_period() if result["stats"] else 0.0
-                    ),
+                    "rate_ops_s": metrics["throughput_ops_s"],
+                    "slowdown_pct": metrics["slowdown_pct"],
+                    "mean_period_s": metrics.get("mean_period_s", 0.0),
                 }
             )
     return rows

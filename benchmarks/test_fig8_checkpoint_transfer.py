@@ -16,20 +16,27 @@ Paper shapes:
 import pytest
 
 from repro.analysis import improvement_pct, render_table
-from repro.hardware.units import GIB
+from repro.experiments.presets import run_checkpoint_trial
 
-from harness import ReplicationSetup, print_header, run_checkpoint_experiment
+from harness import ReplicationSetup, print_header
 
 SIZES_GIB = [1, 2, 4, 8, 16, 20]
 REMUS_8S = ReplicationSetup("Remus(T=8s)", "remus", period=8.0)
 HERE_8S = ReplicationSetup("HERE(T=8s)", "here", period=8.0)
 
 
+def checkpoint_point(setup, size, load):
+    metrics, _ = run_checkpoint_trial(
+        {"setup": setup, "memory_gib": size, "load": load}
+    )
+    return metrics
+
+
 def run_panel(load):
     rows = []
     for size in SIZES_GIB:
-        remus = run_checkpoint_experiment(REMUS_8S, size, load)
-        here = run_checkpoint_experiment(HERE_8S, size, load)
+        remus = checkpoint_point(REMUS_8S, size, load)
+        here = checkpoint_point(HERE_8S, size, load)
         rows.append(
             {
                 "memory_gib": size,

@@ -2,9 +2,10 @@
 
 Runs a trimmed Fig. 11-style YCSB-A column (unprotected Xen, HERE with a
 5 s epoch, Remus with a 5 s epoch) through ``SweepRunner`` instead of
-calling the harness directly: every trial is fingerprinted, executed in a
-worker process, cached content-addressed, and folded into an aggregate
-fingerprint that must not depend on worker count.  The asserted shape is
+calling ``run_throughput_trial`` in-process as the Fig. 11 benchmark
+does: every trial is fingerprinted, executed in a worker process, cached
+content-addressed, and folded into an aggregate fingerprint that must
+not depend on worker count.  The asserted shape is
 the paper's throughput story -- protection costs throughput, and HERE's
 dirty-rate-aware checkpointing keeps well ahead of Remus at the same
 epoch length.

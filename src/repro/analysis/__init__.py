@@ -15,13 +15,7 @@ from .integrity import (
     LatentWindowReport,
     latent_corruption_window,
 )
-from .degradation import (
-    checkpoint_degradation,
-    respects_target,
-    throughput_slowdown_pct,
-    vm_pause_fraction,
-    workload_slowdown_pct,
-)
+from .degradation import respects_target
 from .model import (
     LinearFit,
     estimate_alpha,
@@ -62,7 +56,6 @@ __all__ = [
     "annual_downtime",
     "availability_nines",
     "blackout_comparison",
-    "checkpoint_degradation",
     "compare_availability",
     "double_failure_risk",
     "downtime_per_failure_unprotected",
@@ -88,7 +81,4 @@ __all__ = [
     "respects_target",
     "slo_attainment",
     "strategy_comparison_rows",
-    "throughput_slowdown_pct",
-    "vm_pause_fraction",
-    "workload_slowdown_pct",
 ]

@@ -1,53 +1,17 @@
-"""Degradation metrics connecting replication pauses to applications.
+"""Whether a run honoured its degradation target.
 
-Three views of "how much did replication cost" appear in the paper:
-
-* per-checkpoint degradation ``D_T = t/(t+T)`` (Eq. 1, Figs. 8–10);
-* VM-level pause fraction over a run;
-* application slowdown — throughput vs. the unreplicated baseline
-  (the percentages above the Fig. 11–16 bars).
+The paper reports replication cost three ways, each computed where its
+inputs live: per-checkpoint degradation ``D_T = t/(t+T)`` (Eq. 1,
+Figs. 8–10) is ``ReplicationStats.mean_degradation()``, the VM-level
+pause fraction is ``VirtualMachine.degradation()``, and the application
+slowdown above the Fig. 11–16 bars is
+:func:`repro.experiments.presets.slowdown_pct`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
-
-from ..replication.checkpoint import ReplicationStats
-from ..vm.machine import VirtualMachine
-from ..workloads.base import Workload
-
-
-def checkpoint_degradation(stats: ReplicationStats) -> float:
-    """Mean per-checkpoint D_T over a replication run."""
-    return stats.mean_degradation()
-
-
-def vm_pause_fraction(vm: VirtualMachine) -> float:
-    """Lifetime fraction of wall time the VM spent paused."""
-    return vm.degradation()
-
-
-def throughput_slowdown_pct(
-    baseline_ops_per_s: float, measured_ops_per_s: float
-) -> float:
-    """The Fig. 11–16 bar annotation: percent throughput lost."""
-    if baseline_ops_per_s <= 0:
-        return math.nan
-    loss = 1.0 - measured_ops_per_s / baseline_ops_per_s
-    return 100.0 * loss
-
-
-def workload_slowdown_pct(
-    workload: Workload, baseline_ops_per_s: Optional[float] = None
-) -> float:
-    """Slowdown of a workload vs. its (configured) baseline rate."""
-    baseline = (
-        baseline_ops_per_s
-        if baseline_ops_per_s is not None
-        else workload.work_rate()
-    )
-    return throughput_slowdown_pct(baseline, workload.throughput())
+from typing import Sequence
 
 
 def respects_target(

@@ -397,25 +397,20 @@ def _build_parser() -> argparse.ArgumentParser:
         default="chaos",
         help="which built-in trial matrix to run",
     )
-    sweep.add_argument("--trials", type=_positive_int, default=4,
-                       help="trial count (chaos preset)")
+    sweep.add_argument("--trials", type=_positive_int, default=None,
+                       help="trial count (chaos-style and fleet presets; "
+                            "default 4)")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes (1 = in-process serial)")
     sweep.add_argument("--seed", type=int, default=None,
-                       help="sweep seed (default: 0 for chaos, the "
-                            "benchmark seed for ycsb/table6)")
+                       help="sweep seed (default: 0 for chaos-style and "
+                            "fleet presets, the benchmark seed otherwise)")
     sweep.add_argument("--duration", type=float, default=None,
                        help="per-trial measure window in simulated "
-                            "seconds (ycsb/table6 presets)")
-    sweep.add_argument("--recovery-time", type=float, default=30.0,
-                       help="chaos/fleet presets: post-fault run time "
-                            "per trial")
-    sweep.add_argument("--zones", type=_positive_int, default=3,
-                       help="fleet preset: availability zones per trial")
-    sweep.add_argument("--spares", type=_positive_int, default=3,
-                       help="fleet preset: spare-pool hosts per trial")
-    sweep.add_argument("--quantum", type=_positive_float, default=0.5,
-                       help="fleet preset: sharded-kernel quantum (seconds)")
+                            "seconds (serving/ycsb/table6 presets)")
+    sweep.add_argument("--recovery-time", type=float, default=None,
+                       help="chaos-style and fleet presets: post-fault "
+                            "run time per trial (default 30)")
     sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-addressed result cache "
                             "(default .repro-results)")
@@ -426,8 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "<cache-dir>/sweeps.jsonl)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-trial wall-clock timeout in seconds")
-    sweep.add_argument("--retries", type=_non_negative_int, default=0,
-                       help="retries for crashed/timed-out trials")
+    sweep.add_argument("--retries", type=_non_negative_int, default=None,
+                       help="retries for crashed/timed-out trials "
+                            "(default 0)")
     sweep.add_argument("--baseline", default=None, metavar="PATH",
                        help="gate the sweep against this BENCH json")
     sweep.add_argument("--tolerance", type=float, default=0.05,
@@ -648,6 +644,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_experiments(_args) -> int:
     experiments = [
+        ("Fig. 1", "benchmarks/test_fig1_strategy_coverage.py"),
         ("Table 1", "benchmarks/test_table1_vuln_stats.py"),
         ("Table 2", "benchmarks/test_table2_coverage.py"),
         ("Table 5 + §8.2", "benchmarks/test_table5_dos_analysis.py"),
@@ -983,6 +980,7 @@ def _sweep_events(outcomes) -> float:
 
 
 def _cmd_sweep(args) -> int:
+    import inspect
     import json
     import os
 
@@ -995,61 +993,29 @@ def _cmd_sweep(args) -> int:
         Tolerance,
         load_baseline,
     )
-    from .experiments.presets import (
-        BENCH_SEED,
-        chaos_sweep,
-        fleet_sweep,
-        serving_sweep,
-        table6_sweep,
-        ycsb_sweep,
-    )
+    from .experiments.presets import SWEEP_PRESETS
 
+    build = SWEEP_PRESETS[args.preset]
+    # A preset accepts its builder's named parameters and the keywords
+    # the preset binds; a catch-all ``**overrides`` accepts nothing.
+    accepted = set(getattr(build, "keywords", {})) | {
+        name
+        for name, parameter in inspect.signature(build).parameters.items()
+        if parameter.kind is not parameter.VAR_KEYWORD
+    }
+    given = {
+        flag: getattr(args, flag)
+        for flag in ("trials", "seed", "duration", "recovery_time",
+                     "timeout", "retries")
+        if getattr(args, flag) is not None
+    }
+    for flag in given:
+        if flag not in accepted:
+            print(f"error: --{flag.replace('_', '-')} does not apply to "
+                  f"--preset {args.preset}", file=sys.stderr)
+            return 2
     try:
-        if args.preset == "fleet":
-            specs = fleet_sweep(
-                trials=args.trials,
-                seed=args.seed if args.seed is not None else 0,
-                recovery_time=args.recovery_time,
-                timeout=args.timeout,
-                retries=args.retries,
-                spec=dict(
-                    zones=args.zones,
-                    spares=args.spares,
-                    quantum=args.quantum,
-                ),
-            )
-        elif args.preset in ("chaos", "lossy", "corruption"):
-            specs = chaos_sweep(
-                trials=args.trials,
-                seed=args.seed if args.seed is not None else 0,
-                settle_time=3.0,
-                fault_window=3.0,
-                recovery_time=args.recovery_time,
-                timeout=args.timeout,
-                retries=args.retries,
-                preset=None if args.preset == "chaos" else args.preset,
-            )
-        elif args.preset == "serving":
-            serving_kwargs = {}
-            if args.duration is not None:
-                serving_kwargs["duration"] = args.duration
-            specs = serving_sweep(
-                seed=args.seed if args.seed is not None else BENCH_SEED,
-                timeout=args.timeout,
-                **serving_kwargs,
-            )
-        elif args.preset == "ycsb":
-            specs = ycsb_sweep(
-                duration=args.duration if args.duration is not None else 60.0,
-                seed=args.seed if args.seed is not None else BENCH_SEED,
-                timeout=args.timeout,
-            )
-        else:
-            specs = table6_sweep(
-                duration=args.duration if args.duration is not None else 100.0,
-                seed=args.seed if args.seed is not None else BENCH_SEED,
-                timeout=args.timeout,
-            )
+        specs = build(**given)
     except (KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1062,7 +1028,6 @@ def _cmd_sweep(args) -> int:
         store=store,
         use_cache=not args.no_cache,
         log=log,
-        default_timeout=args.timeout,
     )
     result = runner.run(specs)
 

@@ -12,8 +12,8 @@ Turns the repo's ad-hoc benchmark scripts into sweeps:
   on-disk result cache and the JSONL perf-trajectory log;
 * :class:`RegressionGate` — per-metric delta gating against a stored
   baseline;
-* :mod:`~repro.experiments.presets` — the Table-6 setups and the
-  built-in ``chaos``/``ycsb``/``table6`` sweeps behind
+* :mod:`~repro.experiments.presets` — the Table-6 setups, the
+  registered trial kinds and the ``SWEEP_PRESETS`` table behind
   ``repro sweep``.
 """
 

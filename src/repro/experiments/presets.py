@@ -1,8 +1,9 @@
 """Built-in trial runners and sweep presets.
 
 This module is the single source of truth for the paper's Table-6
-replication configurations (:data:`TABLE6`) — ``benchmarks/harness.py``
-re-exports them — and registers the built-in trial kinds:
+replication configurations (:data:`TABLE6`) and for each paper
+measurement — the Fig. 8 and Fig. 11–16 benchmarks call the trial
+runners below directly — and registers the built-in trial kinds:
 
 * ``throughput``  — one bar of Figs. 10–16: a workload under one
   Table-6 configuration, reporting ops/s, slowdown and checkpoint
@@ -24,15 +25,16 @@ summary alongside the metrics, so the sweep JSONL log carries the
 full telemetry percentile table per trial; the serving runner returns
 its report's summary rows instead.
 
-The ``*_sweep`` builders assemble ready-to-run trial matrices for the
-CLI (``repro sweep --preset ...``) and CI smoke.
+The ``*_sweep`` builders assemble ready-to-run trial matrices;
+:data:`SWEEP_PRESETS` names them for ``repro sweep --preset ...``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import DeploymentSpec, ProtectedDeployment, unprotected_baseline
 from ..hardware.units import GIB
@@ -221,9 +223,9 @@ def run_checkpoint_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     deployment = ProtectedDeployment(setup.spec(int(memory_gib * GIB), seed))
     aggregator = _telemetry(deployment)
     if load > 0:
-        MemoryMicrobenchmark(deployment.sim, deployment.vm, load=load).start()
+        attach_workload(deployment, "membench", load=load)
     else:
-        IdleWorkload(deployment.sim, deployment.vm).start()
+        attach_workload(deployment, "idle")
     deployment.start_protection(wait_ready=True)
     deployment.run_for(duration)
     metrics = {
@@ -407,7 +409,9 @@ def serving_sweep(
     demand: float = 0.0005,
     slo: float = 0.25,
     hedge: float = 0.8,
+    duration: Optional[float] = None,
     timeout: Optional[float] = None,
+    retries: int = 0,
     **study_overrides: Any,
 ) -> List[ExperimentSpec]:
     """One spec per fault-tolerance strategy of the serving study.
@@ -417,8 +421,9 @@ def serving_sweep(
     sweep's rows compare user-visible p50/p99/p999 and SLO violations
     across remus / here / colo / failover / hybrid-recovery — the
     strategy table the README quotes and ``BENCH_serving.json`` pins.
-    Extra keywords pass through to :class:`~repro.serving.StudyConfig`
-    (``duration``, ``crash_at``, ``remus_period``, ...).
+    ``duration`` (default: the study's own window) and extra keywords
+    pass through to :class:`~repro.serving.StudyConfig` (``crash_at``,
+    ``remus_period``, ...).
     """
     from ..serving import STRATEGIES
 
@@ -428,10 +433,11 @@ def serving_sweep(
         raise KeyError(
             f"unknown serving strategies: {unknown}; known: {STRATEGIES}"
         )
-    if "duration" in study_overrides and "crash_at" not in study_overrides:
+    if duration is not None:
+        study_overrides["duration"] = duration
         # A shorter window must keep the crash inside it — stay
         # mid-window unless the caller pins crash_at explicitly.
-        study_overrides["crash_at"] = study_overrides["duration"] / 2.0
+        study_overrides.setdefault("crash_at", duration / 2.0)
     return [
         ExperimentSpec(
             name=f"serving/{strategy}",
@@ -450,6 +456,7 @@ def serving_sweep(
             },
             seed=derive_seed(seed, f"serving-study:{strategy}"),
             timeout=timeout,
+            retries=retries,
         )
         for strategy in chosen
     ]
@@ -462,6 +469,7 @@ def ycsb_sweep(
     memory_gib: float = 8.0,
     seed: int = BENCH_SEED,
     timeout: Optional[float] = None,
+    retries: int = 0,
 ) -> List[ExperimentSpec]:
     """The Fig. 10–13 YCSB series: Table-6 setups × YCSB mixes."""
     unknown = [label for label in setups if label not in TABLE6]
@@ -479,6 +487,7 @@ def ycsb_sweep(
         },
         seed=seed,
         timeout=timeout,
+        retries=retries,
     )
     specs = []
     for spec in grid.expand(base):
@@ -494,6 +503,7 @@ def table6_sweep(
     duration: float = 100.0,
     seed: int = BENCH_SEED,
     timeout: Optional[float] = None,
+    retries: int = 0,
 ) -> List[ExperimentSpec]:
     """Checkpoint behaviour of every protected Table-6 configuration."""
     labels = [
@@ -511,11 +521,26 @@ def table6_sweep(
         },
         seed=seed,
         timeout=timeout,
+        retries=retries,
     )
     return grid.expand(base)
 
 
-#: ``repro sweep --preset`` choices.
-SWEEP_PRESETS = (
-    "chaos", "lossy", "corruption", "fleet", "serving", "ycsb", "table6",
+_CHAOS_SWEEP = dict(
+    trials=4, settle_time=3.0, fault_window=3.0, recovery_time=30.0
 )
+
+#: ``repro sweep --preset`` table: each entry builds one trial matrix
+#: from the keywords the user gave, with its own defaults for the rest.
+SWEEP_PRESETS: Dict[str, Callable[..., List[ExperimentSpec]]] = {
+    "chaos": partial(chaos_sweep, **_CHAOS_SWEEP),
+    "lossy": partial(chaos_sweep, preset="lossy", **_CHAOS_SWEEP),
+    "corruption": partial(chaos_sweep, preset="corruption", **_CHAOS_SWEEP),
+    "fleet": partial(
+        fleet_sweep, trials=4, recovery_time=30.0,
+        spec=dict(zones=3, spares=3, quantum=0.5),
+    ),
+    "serving": serving_sweep,
+    "ycsb": partial(ycsb_sweep, duration=60.0),
+    "table6": table6_sweep,
+}

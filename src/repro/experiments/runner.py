@@ -290,7 +290,6 @@ class SweepRunner:
         store: Optional[ResultStore] = None,
         use_cache: bool = True,
         log: Optional[SweepLog] = None,
-        default_timeout: Optional[float] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
@@ -298,7 +297,6 @@ class SweepRunner:
         self.store = store
         self.use_cache = use_cache and store is not None
         self.log = log
-        self.default_timeout = default_timeout
         methods = multiprocessing.get_all_start_methods()
         # fork keeps in-memory registrations (tests, notebooks) visible
         # to workers; fall back to the platform default elsewhere.
@@ -431,8 +429,7 @@ class SweepRunner:
         process.start()
         child_conn.close()
         started = time.perf_counter()
-        timeout = spec.timeout if spec.timeout is not None else self.default_timeout
-        deadline = started + timeout if timeout is not None else None
+        deadline = started + spec.timeout if spec.timeout is not None else None
         return _LiveAttempt(process, parent_conn, started, deadline, attempt_number)
 
     def _record_or_retry(

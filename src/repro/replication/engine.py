@@ -111,8 +111,6 @@ class ReplicationEngine:
         translator: Optional[StateTranslator] = None,
         cost_model: Optional[TransferCostModel] = None,
         name: str = "asr",
-        pipeline: Optional[CheckpointPipeline] = None,
-        sync_pipeline: Optional[CheckpointPipeline] = None,
         generation: int = 0,
     ):
         self.sim = sim
@@ -123,12 +121,10 @@ class ReplicationEngine:
         self.translator = translator or StateTranslator()
         self.cost = cost_model or primary.host.cost_model
         self.name = name
-        # Custom stage lineups; the config-derived presets are built at
-        # start() time (so late config tweaks are honoured) when unset.
-        self._pipeline_override = pipeline
-        self._sync_pipeline_override = sync_pipeline
-        #: The continuous-checkpoint and seeding-sync pipelines actually
-        #: in use; populated by start().
+        #: The continuous-checkpoint and seeding-sync pipelines, built
+        #: from the config by start() (so late config tweaks are
+        #: honoured).  Assigning ``pipeline`` after start() runs a
+        #: hand-assembled lineup from the first checkpoint on.
         self.pipeline: Optional[CheckpointPipeline] = None
         self.sync_pipeline: Optional[CheckpointPipeline] = None
         # Populated by start():
@@ -206,14 +202,11 @@ class ReplicationEngine:
             self.transport = CheckpointTransport(
                 self.sim, self.link, self.config.transport, name=self.name
             )
-        self.pipeline = self._pipeline_override or build_checkpoint_pipeline(
+        self.pipeline = build_checkpoint_pipeline(
             self.config, self.heterogeneous, name=f"{self.name}-checkpoint"
         )
-        self.sync_pipeline = (
-            self._sync_pipeline_override
-            or build_seeding_sync_pipeline(
-                self.config, self.heterogeneous, name=f"{self.name}-seeding"
-            )
+        self.sync_pipeline = build_seeding_sync_pipeline(
+            self.config, self.heterogeneous, name=f"{self.name}-seeding"
         )
         if self.config.integrity is not None:
             from ..integrity.monitor import IntegrityMonitor

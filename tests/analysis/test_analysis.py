@@ -17,8 +17,8 @@ from repro.analysis import (
     render_series,
     render_table,
     respects_target,
-    throughput_slowdown_pct,
 )
+from repro.experiments.presets import slowdown_pct
 
 
 class TestTimeSeries:
@@ -109,8 +109,8 @@ class TestChangeMetrics:
         assert relative_change(10.0, 15.0) == pytest.approx(0.5)
 
     def test_throughput_slowdown(self):
-        assert throughput_slowdown_pct(100.0, 48.0) == pytest.approx(52.0)
-        assert math.isnan(throughput_slowdown_pct(0.0, 1.0))
+        assert slowdown_pct(48.0, 100.0) == pytest.approx(52.0)
+        assert math.isnan(slowdown_pct(1.0, 0.0))
 
 
 class TestRespectsTarget:

@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from repro.experiments import registered_kinds, resolve_trial
+from repro.experiments import SweepRunner, registered_kinds, resolve_trial
 from repro.experiments.presets import (
     BENCH_SEED,
     TABLE6,
     ReplicationSetup,
     chaos_sweep,
+    fleet_sweep,
     resolve_setup,
     run_checkpoint_trial,
     run_serving_trial,
@@ -126,6 +127,26 @@ class TestSweepBuilders:
         assert labels == {
             label for label, setup in TABLE6.items() if setup.engine != "none"
         }
+
+
+class TestFleetSweep:
+    def test_parallel_sweep_equals_direct_campaigns(self):
+        """Each fleet-sweep trial is the campaign it names, run directly."""
+        from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
+        from repro.simkernel.random import derive_seed
+
+        sweep = SweepRunner(jobs=2).run(fleet_sweep(trials=2, seed=3))
+        assert all(outcome.ok for outcome in sweep.outcomes)
+        for index, outcome in enumerate(sweep.outcomes):
+            direct = FleetCampaign(FleetCampaignConfig(
+                spec=FleetSpec(
+                    zones=3, racks_per_zone=1, hosts_per_rack=2, spares=3,
+                    vms=6, seed=derive_seed(3, f"fleet-trial-{index}"),
+                ),
+                settle_time=3.0, fault_window=4.0, recovery_time=25.0,
+                faults=1,
+            )).run()
+            assert outcome.metrics["fingerprint"] == direct.fingerprint()
 
 
 class TestServingTrialRunner:

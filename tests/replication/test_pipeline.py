@@ -244,8 +244,11 @@ class TestCustomAssembly:
             ],
             name="two-thread-remus",
         )
-        engine._pipeline_override = custom
-        stats = run_protected(sim, engine)
+        engine.start("vm")
+        engine.pipeline = custom  # before the first checkpoint runs
+        sim.run_until_triggered(engine.ready)
+        sim.run(until=sim.now + 6.0)
+        stats = engine.stats
         assert engine.pipeline is custom
         assert stats.checkpoint_count >= 2
         assert engine.last_acked_epoch == stats.checkpoint_count

@@ -1,8 +1,15 @@
 """The ``python -m repro`` command-line interface."""
 
+import glob
+import os
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.experiments.presets import SWEEP_PRESETS
+
+from tests.test_sweep_presets_golden import captured_specs
 
 
 class TestTable1Command:
@@ -18,8 +25,22 @@ class TestExperimentsCommand:
     def test_lists_every_figure(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        for token in ("Fig. 5", "Fig. 17", "Table 5", "ablation"):
+        for token in ("Fig. 1", "Fig. 5", "Fig. 17", "Table 5", "ablation"):
             assert token in out
+
+    def test_every_listed_bench_exists_and_every_figure_is_listed(
+        self, capsys
+    ):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        assert main(["experiments"]) == 0
+        listed = re.findall(r"benchmarks/\S+\.py", capsys.readouterr().out)
+        for pattern in listed:
+            assert glob.glob(os.path.join(repo, pattern)), pattern
+        for path in sorted(
+            glob.glob(os.path.join(repo, "benchmarks", "test_fig*.py"))
+            + glob.glob(os.path.join(repo, "benchmarks", "test_table*.py"))
+        ):
+            assert f"benchmarks/{os.path.basename(path)}" in listed
 
 
 class TestReplicateCommand:
@@ -457,6 +478,33 @@ class TestSweepCommand:
         assert all(record["status"] == "ok" for record in records)
         assert all(record["telemetry"] for record in records)
 
+    @pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
+    def test_retries_and_timeout_reach_every_spec(self, preset, tmp_path):
+        specs = captured_specs(
+            ["--preset", preset, "--retries", "2", "--timeout", "30"],
+            tmp_path,
+        )
+        assert specs
+        assert all(spec.retries == 2 for spec in specs)
+        assert all(spec.timeout == 30.0 for spec in specs)
+
+    @pytest.mark.parametrize("preset, flag", [
+        ("serving", ["--trials", "9"]),
+        ("chaos", ["--duration", "7"]),
+        ("ycsb", ["--recovery-time", "5"]),
+    ])
+    def test_a_flag_the_preset_ignores_is_rejected(
+        self, capsys, tmp_path, preset, flag
+    ):
+        code = main([
+            "sweep", "--preset", preset, *flag,
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[0]} does not apply to --preset {preset}\n"
+        )
+
 
 class TestFleetCommand:
     def fleet(self, *extra):
@@ -575,23 +623,30 @@ class TestFleetCommand:
 
 
 class TestFleetArgumentValidation:
-    @pytest.mark.parametrize("command", ["fleet", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet"])
     def test_zones_must_be_positive(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--zones", "0"])
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fleet", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet"])
     def test_spares_must_be_positive(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--spares", "-2"])
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fleet", "sweep"])
+    @pytest.mark.parametrize("command", ["fleet"])
     def test_quantum_must_be_positive(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--quantum", "0"])
         assert "positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--zones", "--spares", "--quantum"])
+    def test_sweep_has_no_fleet_shape_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", flag, "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_quantum_rejects_non_numeric(self, capsys):
         with pytest.raises(SystemExit):
