@@ -24,65 +24,211 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict, fields
 from typing import List, Optional
 
 from .analysis import render_table
 from .cluster import DeploymentSpec, ProtectedDeployment, ScenarioRunner
-from .hardware.units import GIB
+from .faults import CampaignConfig
+from .faults.campaign import CHAOS_PRESETS
+from .fleet import FleetCampaignConfig, FleetSpec
+from .hardware.units import GIB, MIB
+from .integrity import IntegrityConfig
+from .recovery import MicrorebootConfig, RecoveryPolicy
 from .security import build_default_database, table1_stats
+from .serving import ServingConfig, StudyConfig
 from .workloads import MemoryMicrobenchmark
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer strictly greater than zero."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
+def _checked(convert, accept, what: str):
+    """An argparse type: ``convert(text)``, rejected unless ``accept``s."""
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float strictly greater than zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number, got {text}"
-        )
-    return value
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive number")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
 
 
-def _probability(text: str) -> float:
-    """argparse type: a float in the closed interval [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a probability in [0, 1], got {text}"
-        )
-    return value
+def _in_units(unit: int, cast=float):
+    """An argparse type: a positive count of ``unit`` as ``cast(count * unit)``."""
+    return lambda text: cast(_positive_float(text) * unit)
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {value}"
-        )
-    return value
+_memory_gib = _in_units(GIB, int)  # GiB -> whole bytes
+_memory_mib = _in_units(MIB, int)  # MiB -> whole bytes
+_gib_per_s = _in_units(GIB)  # GiB/s -> bytes per second
+
+
+def _comma_list(text: str) -> List[str]:
+    """argparse type: the non-empty entries of a comma list."""
+    return [entry.strip() for entry in text.split(",") if entry.strip()]
+
+
+_POLICIES = [policy.value for policy in RecoveryPolicy]
+
+#: Every config-backed flag, keyed by ``(config class, field)`` in the
+#: order the flags are listed.  An entry holds only what the dataclass
+#: cannot: ``flag`` where the flag is not the field name with dashes,
+#: and the argparse keywords (parser, choices, action, help).  The
+#: default is the field's own; :func:`add_options` adds the flags and
+#: :func:`from_args` builds the config back from them.
+_FLAGS = {
+    (DeploymentSpec, "engine"): dict(choices=["here", "remus", "colo"]),
+    (DeploymentSpec, "period"): dict(type=float, help="Remus period / HERE T_max (seconds)"),
+    (DeploymentSpec, "comparison_interval"): dict(
+        type=float, help="COLO output-comparison interval (seconds)"),
+    (DeploymentSpec, "target_degradation"): dict(
+        flag="degradation", type=float,
+        help="HERE's target degradation D in [0, 1); 0 pins T to T_max"),
+    (DeploymentSpec, "memory_bytes"): dict(flag="memory-gib", type=_memory_gib),
+    (DeploymentSpec, "seed"): dict(type=int),
+    (CampaignConfig, "trials"): dict(type=_positive_int),
+    (CampaignConfig, "seed"): dict(type=int),
+    (CampaignConfig, "vms"): dict(type=_positive_int),
+    (CampaignConfig, "faults_per_trial"): dict(
+        flag="faults", type=_positive_int, help="faults injected per trial"),
+    (CampaignConfig, "detector"): dict(
+        choices=["heartbeat", "phi"],
+        help="failure detector: fixed miss threshold or adaptive phi-accrual"),
+    (CampaignConfig, "kinds"): dict(
+        type=_comma_list,
+        help="comma list of fault kinds to draw from (default depends on --preset)"),
+    (CampaignConfig, "miss_threshold"): dict(
+        type=_positive_int, help="consecutive heartbeat misses before failover"),
+    (CampaignConfig, "degraded_miss_threshold"): dict(
+        type=_positive_int,
+        help="misses tolerated while the transport reports the link lossy-but-alive "
+             "(default 12 under --preset lossy)"),
+    (CampaignConfig, "recovery_time"): dict(
+        type=float, help="seconds each trial runs after the fault window"),
+    (CampaignConfig, "recovery_policy"): dict(
+        choices=_POLICIES,
+        help="answer to a dead primary hypervisor: replica failover (default), "
+             "ReHype-style in-place microreboot, or microreboot with failover "
+             "fallback (default under --preset recovery: hybrid)"),
+    (MicrorebootConfig, "rebuild_time_min"): dict(
+        flag="rebuild-min", type=_positive_float,
+        help="lower bound of the seeded hypervisor rebuild-time draw (s)"),
+    (MicrorebootConfig, "rebuild_time_max"): dict(
+        flag="rebuild-max", type=_positive_float,
+        help="upper bound of the seeded hypervisor rebuild-time draw (s)"),
+    (MicrorebootConfig, "deadline"): dict(
+        type=_positive_float,
+        help="escalate a microreboot still in flight after this long (s)"),
+    (ServingConfig, "users"): dict(
+        type=_positive_int, help="open-loop users in the served population"),
+    (ServingConfig, "rate_per_user"): dict(
+        type=_positive_float, help="requests per second per user"),
+    (ServingConfig, "demand"): dict(
+        type=_positive_float, help="per-request service demand at full capacity (seconds)"),
+    (ServingConfig, "slo"): dict(
+        type=_positive_float,
+        help="latency SLO (seconds); lost or over-SLO requests count as violations"),
+    (ServingConfig, "hedge"): dict(
+        type=_probability,
+        help="probability a request is cloned to the replica (first response wins; "
+             "serve: > 0 adds the hedged columns)"),
+    (StudyConfig, "duration"): dict(
+        type=_positive_float, help="serving window length (simulated seconds)"),
+    (StudyConfig, "crash_at"): dict(
+        type=_positive_float,
+        help="primary-hypervisor crash offset into the window (seconds)"),
+    (StudyConfig, "seed"): dict(type=int),
+    (IntegrityConfig, "scrub_interval"): dict(
+        type=_positive_float, help="seconds between scrubber audit passes"),
+    (IntegrityConfig, "scrub_bandwidth"): dict(
+        flag="scrub-bandwidth-gib", type=_gib_per_s,
+        help="audit bandwidth budget (GiB/s of replica state re-read per scrub pass)"),
+    (IntegrityConfig, "refuse_failover"): dict(
+        flag="promote-suspect-replicas", action="store_false",
+        help="let failover promote a replica whose state is corruption-suspect or "
+             "quarantined (default: refuse and alarm)"),
+    (FleetSpec, "zones"): dict(type=_positive_int),
+    (FleetSpec, "racks_per_zone"): dict(flag="racks", type=_positive_int, help="racks per zone"),
+    (FleetSpec, "hosts_per_rack"): dict(type=_positive_int),
+    (FleetSpec, "spares"): dict(
+        type=_positive_int, help="spare-pool hosts (round-robined over zones)"),
+    (FleetSpec, "vms"): dict(type=_positive_int),
+    (FleetSpec, "vm_memory_bytes"): dict(flag="vm-memory-mib", type=_memory_mib),
+    (FleetSpec, "quantum"): dict(
+        type=_positive_float,
+        help="sharded-kernel quantum = control-loop cadence (seconds)"),
+    (FleetSpec, "seed"): dict(type=int),
+    (FleetCampaignConfig, "faults"): dict(type=_positive_int),
+    # nargs=1 hands the config a one-kind list.
+    (FleetCampaignConfig, "kinds"): dict(
+        flag="kind", nargs=1,
+        choices=["zone-outage", "rack-outage", "hypervisor-crash", "hypervisor-hang"],
+        help="which fault kind the campaign draws: correlated outages (zone/rack) or "
+             "per-host hypervisor faults (the microreboot-recoverable class)"),
+    (FleetCampaignConfig, "settle_time"): dict(
+        type=_positive_float, help="protection warm-up before the fault window"),
+    (FleetCampaignConfig, "fault_window"): dict(type=_positive_float),
+    (FleetCampaignConfig, "recovery_time"): dict(type=_positive_float),
+    (FleetSpec, "anti_affinity"): dict(
+        choices=["none", "rack", "zone"],
+        help="failure-domain separation the planner enforces per pair"),
+    (FleetSpec, "max_vms_per_link"): dict(
+        type=_positive_int, help="link budget: VMs sharing one replication pair"),
+    (FleetSpec, "recovery_policy"): dict(
+        choices=_POLICIES,
+        help="fleet-wide answer to a dead primary hypervisor "
+             "(zone overrides are available on FleetSpec)"),
+}
+
+
+def _entries(classes, prefix: str):
+    """``(class, field, flag name, argparse keywords)`` per table entry of ``classes``."""
+    for (cls, name), entry in _FLAGS.items():
+        if cls in classes:
+            keywords = dict(entry)
+            flag = keywords.pop("flag", name.replace("_", "-"))
+            yield cls, name, prefix + flag, keywords
+
+
+def add_options(group, *classes, prefix: str = "", defaults=None,
+                skip=(), only=None) -> None:
+    """Add the flags of ``classes`` to ``group``, in table order.
+
+    Each flag is ``--<prefix><name>`` and defaults to its field's
+    default unless ``defaults`` (keyed by field) says otherwise;
+    ``skip``/``only`` leave out fields or keep just the named ones.
+    """
+    field_defaults = {(cls, f.name): f.default for cls in classes for f in fields(cls)}
+    defaults = defaults or {}
+    for cls, name, flag, keywords in _entries(classes, prefix):
+        if name in skip or (only is not None and name not in only):
+            continue
+        default = defaults.get(name, field_defaults[cls, name])
+        group.add_argument(f"--{flag}", default=default, **keywords)
+
+
+def from_args(cls, args, prefix: str = "", preset=None, **fixed):
+    """``cls`` built from the flags :func:`add_options` added.
+
+    A flag left at None falls back to ``preset`` (field -> value), then
+    to the field's default; ``fixed`` values win over both.
+    """
+    values = dict(preset or {})
+    for _cls, name, flag, _keywords in _entries((cls,), prefix):
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            values[name] = value
+    values.update(fixed)
+    return cls(**values)
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -107,57 +253,24 @@ def _attach_trace(sim, args):
     return writer
 
 
-def _overlay_parent() -> argparse.ArgumentParser:
+def _add_overlays(parser: argparse.ArgumentParser) -> None:
     """The serving and integrity overlay flags ``chaos`` and ``fleet`` share."""
-    parent = argparse.ArgumentParser(add_help=False)
-    serving = parent.add_argument_group("serving overlay")
+    serving = parser.add_argument_group("serving overlay")
     serving.add_argument(
         "--serving-users", type=_non_negative_int, default=0,
         help="open-loop users whose tail latency each "
              "trial measures post hoc from the bus (0 = off, the "
              "default — fingerprints and traces are unchanged)",
     )
-    serving.add_argument(
-        "--serving-rate-per-user", type=_positive_float, default=0.01,
-        help="requests per second per user",
-    )
-    serving.add_argument(
-        "--serving-demand", type=_positive_float, default=0.0005,
-        help="per-request service demand (seconds)",
-    )
-    serving.add_argument(
-        "--serving-slo", type=_positive_float, default=0.25,
-        help="latency SLO (seconds); lost or "
-             "over-SLO requests count as violations",
-    )
-    serving.add_argument(
-        "--serving-hedge", type=_probability, default=0.0,
-        help="probability a request is cloned to the "
-             "replica (first response wins)",
-    )
-    integrity = parent.add_argument_group("integrity overlay")
+    add_options(serving, ServingConfig, prefix="serving-", skip={"users"})
+    integrity = parser.add_argument_group("integrity overlay")
     integrity.add_argument(
         "--integrity", action="store_true",
         help="arm the checkpoint-integrity overlay (epoch attestation, "
              "background replica scrubbing, repair escalation) on every "
              "engine (chaos: implied by --preset corruption)",
     )
-    integrity.add_argument(
-        "--scrub-interval", type=_positive_float, default=0.25,
-        help="seconds between scrubber audit passes",
-    )
-    integrity.add_argument(
-        "--scrub-bandwidth-gib", type=_positive_float, default=2.0,
-        help="audit bandwidth budget (GiB/s of "
-             "replica state re-read per scrub pass)",
-    )
-    integrity.add_argument(
-        "--promote-suspect-replicas", action="store_true",
-        help="let failover promote a replica whose "
-             "state is corruption-suspect or quarantined (default: "
-             "refuse and alarm)",
-    )
-    return parent
+    add_options(integrity, IntegrityConfig)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    overlays = _overlay_parent()
 
     demo = subparsers.add_parser(
         "demo", help="DoS exploit -> heterogeneous failover kill chain"
@@ -179,28 +291,13 @@ def _build_parser() -> argparse.ArgumentParser:
     replicate = subparsers.add_parser(
         "replicate", help="protect a loaded VM and report statistics"
     )
-    replicate.add_argument(
-        "--engine", choices=["here", "remus", "colo"], default="here"
-    )
-    replicate.add_argument(
-        "--period", type=float, default=5.0,
-        help="Remus period / HERE T_max (seconds)",
-    )
-    replicate.add_argument(
-        "--comparison-interval", type=float, default=0.02,
-        help="COLO output-comparison interval (seconds)",
-    )
-    replicate.add_argument(
-        "--degradation", type=float, default=0.0,
-        help="HERE's target degradation D in [0, 1); 0 pins T to T_max",
-    )
-    replicate.add_argument("--memory-gib", type=_positive_float, default=8.0)
+    add_options(replicate, DeploymentSpec, skip={"seed"})
     replicate.add_argument(
         "--load", type=_probability, default=0.3,
         help="memory microbenchmark load fraction",
     )
     replicate.add_argument("--duration", type=_positive_float, default=120.0)
-    replicate.add_argument("--seed", type=int, default=0)
+    add_options(replicate, DeploymentSpec, only={"seed"})
     _add_trace_argument(replicate)
 
     migrate = subparsers.add_parser(
@@ -225,19 +322,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument("--xen-hosts", type=int, default=1)
     plan.add_argument("--kvm-hosts", type=int, default=2)
-    plan.add_argument("--host-memory-gib", type=float, default=64.0)
+    plan.add_argument("--host-memory-gib", type=_positive_float, default=64.0)
     plan.add_argument(
         "--vms", default="db:32,web:8,cache:16",
         help="comma list of name:memory_gib entries (primaries on Xen)",
     )
 
     chaos = subparsers.add_parser(
-        "chaos", parents=[overlays],
-        help="seeded chaos campaign: faults -> failover -> re-protection",
+        "chaos", help="seeded chaos campaign: faults -> failover -> re-protection",
     )
+    _add_overlays(chaos)
     chaos.add_argument(
         "--preset",
-        choices=["default", "lossy", "recovery", "corruption"],
+        choices=["default", *CHAOS_PRESETS],
         default="default",
         help="'lossy' draws link impairments and runs the hardened "
              "transport (reliable chunked commit + degradation ladder); "
@@ -248,37 +345,9 @@ def _build_parser() -> argparse.ArgumentParser:
              "replica bitrot, torn applies) and arms the integrity "
              "overlay — attestation, scrubbing, repair escalation",
     )
-    chaos.add_argument("--trials", type=_positive_int, default=3)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--vms", type=_positive_int, default=2)
-    chaos.add_argument("--faults", type=_positive_int, default=1,
-                       help="faults injected per trial")
-    chaos.add_argument(
-        "--detector", choices=["heartbeat", "phi"], default="heartbeat",
-        help="failure detector: fixed miss threshold or adaptive phi-accrual",
-    )
-    chaos.add_argument(
-        "--kinds", default=None,
-        help="comma list of fault kinds to draw from (default depends "
-             "on --preset)",
-    )
-    chaos.add_argument("--miss-threshold", type=_positive_int, default=3,
-                       help="consecutive heartbeat misses before failover")
-    chaos.add_argument(
-        "--degraded-miss-threshold", type=_positive_int, default=None,
-        help="misses tolerated while the transport reports the link "
-             "lossy-but-alive (default 12 under --preset lossy)",
-    )
-    chaos.add_argument("--recovery-time", type=float, default=60.0,
-                       help="seconds each trial runs after the fault window")
-    chaos.add_argument(
-        "--recovery-policy",
-        choices=["failover", "recover-in-place", "hybrid"], default=None,
-        help="answer to a dead primary hypervisor: replica failover "
-             "(default), ReHype-style in-place microreboot, or "
-             "microreboot with failover fallback (default under "
-             "--preset recovery: hybrid)",
-    )
+    # None defers to the --preset entry, then to the field default.
+    add_options(chaos, CampaignConfig,
+                defaults=dict(kinds=None, recovery_policy=None))
     chaos.add_argument(
         "--recovery-success-prob", dest="success_prob", type=_probability,
         default=None,
@@ -286,18 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "probability with one value in [0, 1] (default: per-class "
              "model — crash 0.88, hang 0.94, CVE 0.76)",
     )
-    chaos.add_argument(
-        "--recovery-rebuild-min", type=_positive_float, default=0.15,
-        help="lower bound of the seeded hypervisor rebuild-time draw (s)",
-    )
-    chaos.add_argument(
-        "--recovery-rebuild-max", type=_positive_float, default=0.45,
-        help="upper bound of the seeded hypervisor rebuild-time draw (s)",
-    )
-    chaos.add_argument(
-        "--recovery-deadline", type=_positive_float, default=2.0,
-        help="escalate a microreboot still in flight after this long (s)",
-    )
+    add_options(chaos, MicrorebootConfig, prefix="recovery-")
     _add_trace_argument(chaos)
 
     serve = subparsers.add_parser(
@@ -312,78 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="run one strategy or the whole five-way comparison",
     )
-    serve.add_argument("--users", type=_positive_int, default=50_000,
-                       help="open-loop users in the served population")
-    serve.add_argument("--rate-per-user", type=_positive_float, default=0.02,
-                       help="requests per second per user")
-    serve.add_argument(
-        "--demand", type=_positive_float, default=0.0005,
-        help="per-request service demand at full capacity (seconds)",
-    )
-    serve.add_argument("--slo", type=_positive_float, default=0.25,
-                       help="latency SLO (seconds)")
-    serve.add_argument(
-        "--hedge", type=_probability, default=0.0,
-        help="probability a request is cloned to the replica; > 0 adds "
-             "the hedged columns to the table",
-    )
-    serve.add_argument("--duration", type=_positive_float, default=12.0,
-                       help="serving window length (simulated seconds)")
-    serve.add_argument(
-        "--crash-at", type=_positive_float, default=6.0,
-        help="primary-hypervisor crash offset into the window (seconds)",
-    )
-    serve.add_argument("--seed", type=int, default=0)
+    add_options(serve, ServingConfig, StudyConfig,
+                defaults=dict(users=50_000, rate_per_user=0.02))
 
     fleet = subparsers.add_parser(
-        "fleet", parents=[overlays],
+        "fleet",
         help="fleet-scale campaign: zone outage -> failovers -> "
              "queued re-protection onto spares",
     )
-    fleet.add_argument("--zones", type=_positive_int, default=3)
-    fleet.add_argument("--racks", type=_positive_int, default=2,
-                       help="racks per zone")
-    fleet.add_argument("--hosts-per-rack", type=_positive_int, default=2)
-    fleet.add_argument("--spares", type=_positive_int, default=3,
-                       help="spare-pool hosts (round-robined over zones)")
-    fleet.add_argument("--vms", type=_positive_int, default=8)
-    fleet.add_argument("--vm-memory-mib", type=_positive_float, default=256.0)
-    fleet.add_argument(
-        "--quantum", type=_positive_float, default=0.5,
-        help="sharded-kernel quantum = control-loop cadence (seconds)",
-    )
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--faults", type=_positive_int, default=1)
-    fleet.add_argument(
-        "--kind",
-        choices=[
-            "zone-outage", "rack-outage",
-            "hypervisor-crash", "hypervisor-hang",
-        ],
-        default="zone-outage",
-        help="which fault kind the campaign draws: correlated outages "
-             "(zone/rack) or per-host hypervisor faults (the "
-             "microreboot-recoverable class)",
-    )
-    fleet.add_argument("--settle-time", type=_positive_float, default=3.0,
-                       help="protection warm-up before the fault window")
-    fleet.add_argument("--fault-window", type=_positive_float, default=5.0)
-    fleet.add_argument("--recovery-time", type=_positive_float, default=30.0)
-    fleet.add_argument(
-        "--anti-affinity", choices=["none", "rack", "zone"], default="zone",
-        help="failure-domain separation the planner enforces per pair",
-    )
-    fleet.add_argument(
-        "--max-vms-per-link", type=_positive_int, default=None,
-        help="link budget: VMs sharing one replication pair",
-    )
-    fleet.add_argument(
-        "--recovery-policy",
-        choices=["failover", "recover-in-place", "hybrid"],
-        default="failover",
-        help="fleet-wide answer to a dead primary hypervisor "
-             "(zone overrides are available on FleetSpec)",
-    )
+    _add_overlays(fleet)
+    add_options(fleet, FleetSpec, FleetCampaignConfig,
+                defaults=dict(spares=3, settle_time=3.0))
 
     from .experiments.presets import SWEEP_PRESETS
 
@@ -500,28 +497,19 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _cmd_replicate(args) -> int:
+def _replicate_deployment(args) -> ProtectedDeployment:
     if not 0.0 <= args.degradation < 1.0:
-        print("error: --degradation must be in [0, 1)", file=sys.stderr)
-        return 2
-    period = args.period if args.period > 0 else math.inf
-    try:
-        deployment = ProtectedDeployment(
-            DeploymentSpec(
-                engine=args.engine,
-                # Remus and COLO both need matching device models on the
-                # two sides; only HERE crosses hypervisor families.
-                secondary_flavor="kvm" if args.engine == "here" else "xen",
-                period=period,
-                comparison_interval=args.comparison_interval,
-                target_degradation=args.degradation,
-                memory_bytes=int(args.memory_gib * GIB),
-                seed=args.seed,
-            )
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ValueError("--degradation must be in [0, 1)")
+    return ProtectedDeployment(from_args(
+        DeploymentSpec, args,
+        # Remus and COLO both need matching device models on the two
+        # sides; only HERE crosses hypervisor families.
+        secondary_flavor="kvm" if args.engine == "here" else "xen",
+        period=args.period if args.period > 0 else math.inf,
+    ))
+
+
+def _cmd_replicate(args, deployment) -> int:
     trace = _attach_trace(deployment.sim, args)
     workload = MemoryMicrobenchmark(
         deployment.sim, deployment.vm, load=args.load
@@ -543,37 +531,32 @@ def _cmd_replicate(args) -> int:
         if trace is not None:
             trace.close()
     stats = deployment.stats
-    workload_rows = [
-        {"metric": "workload ops/s", "value": throughput},
-        {"metric": "workload slowdown (%)",
-         "value": 100 * (1 - throughput / workload.work_rate())
-         if workload.work_rate() else 0.0},
-    ]
     if args.engine == "colo":
-        print(render_table([
-            {"metric": "engine", "value": args.engine},
-            {"metric": "comparison interval (s)",
-             "value": args.comparison_interval},
+        rows = [
+            {"metric": "comparison interval (s)", "value": args.comparison_interval},
             {"metric": "seeding (s)", "value": stats.seeding_duration},
             {"metric": "comparisons", "value": stats.comparison_count},
             {"metric": "divergences", "value": stats.divergence_count},
-            {"metric": "divergence rate (%)",
-             "value": stats.divergence_rate * 100},
+            {"metric": "divergence rate (%)", "value": stats.divergence_rate * 100},
             {"metric": "total sync (s)", "value": stats.total_sync_time()},
-        ] + workload_rows))
-        return 0
+        ]
+    else:
+        rows = [
+            {"metric": "controller", "value": deployment.engine.config.controller.describe()},
+            {"metric": "seeding (s)", "value": stats.seeding_duration},
+            {"metric": "checkpoints", "value": stats.checkpoint_count},
+            {"metric": "mean period (s)", "value": stats.mean_period()},
+            {"metric": "mean pause (ms)", "value": stats.mean_pause_duration() * 1000},
+            {"metric": "mean degradation (%)", "value": stats.mean_degradation() * 100},
+        ]
+    rate = workload.work_rate()
     print(render_table([
         {"metric": "engine", "value": args.engine},
-        {"metric": "controller",
-         "value": deployment.engine.config.controller.describe()},
-        {"metric": "seeding (s)", "value": stats.seeding_duration},
-        {"metric": "checkpoints", "value": stats.checkpoint_count},
-        {"metric": "mean period (s)", "value": stats.mean_period()},
-        {"metric": "mean pause (ms)",
-         "value": stats.mean_pause_duration() * 1000},
-        {"metric": "mean degradation (%)",
-         "value": stats.mean_degradation() * 100},
-    ] + workload_rows))
+        *rows,
+        {"metric": "workload ops/s", "value": throughput},
+        {"metric": "workload slowdown (%)",
+         "value": 100 * (1 - throughput / rate) if rate else 0.0},
+    ]))
     return 0
 
 
@@ -731,94 +714,36 @@ def _cmd_plan(args) -> int:
     return 0 if result.fully_placed else 1
 
 
-def _serving_config(args):
-    """The ``--serving-*`` overlay; None when ``--serving-users`` is 0."""
-    if not args.serving_users:
-        return None
-    from .serving import ServingConfig
-
-    return ServingConfig(
-        users=args.serving_users,
-        rate_per_user=args.serving_rate_per_user,
-        demand=args.serving_demand,
-        slo=args.serving_slo,
-        hedge=args.serving_hedge,
+def _chaos_config(args) -> CampaignConfig:
+    preset = dict(CHAOS_PRESETS.get(args.preset, {}))
+    if "degraded_miss_threshold" in preset:
+        # A raised --miss-threshold lifts the preset's tolerance with it.
+        preset["degraded_miss_threshold"] = max(
+            preset["degraded_miss_threshold"], args.miss_threshold
+        )
+    return from_args(
+        CampaignConfig, args, preset=preset,
+        # The rebuild-time flags win over the uniform-probability model.
+        microreboot=from_args(
+            MicrorebootConfig, args, prefix="recovery-",
+            preset=None if args.success_prob is None
+            else asdict(MicrorebootConfig.with_uniform_prob(args.success_prob)),
+        ),
+        serving=from_args(ServingConfig, args, prefix="serving-")
+        if args.serving_users else None,
+        integrity=from_args(IntegrityConfig, args)
+        if args.integrity or "integrity" in preset else None,
     )
 
 
-def _integrity_config(args, armed: bool):
-    """The integrity overlay under the ``--scrub-*`` knobs, if ``armed``."""
-    if not armed:
-        return None
-    from .integrity import IntegrityConfig
-
-    return IntegrityConfig(
-        scrub_interval=args.scrub_interval,
-        scrub_bandwidth=args.scrub_bandwidth_gib * GIB,
-        refuse_failover=not args.promote_suspect_replicas,
-    )
-
-
-def _cmd_chaos(args) -> int:
+def _cmd_chaos(args, config) -> int:
     import time
 
-    from .faults import CampaignConfig, ChaosCampaign, FaultKind
-    from .faults.campaign import CHAOS_PRESETS
+    from .faults import ChaosCampaign
     from .profiling import throughput_line
-    from .recovery import MicrorebootConfig
+    from .telemetry import TraceWriter
 
-    # Explicit flags win over the preset's entry.
-    overrides = dict(CHAOS_PRESETS.get(args.preset, {}))
-    if args.recovery_policy is not None:
-        overrides["recovery_policy"] = args.recovery_policy
-    if args.degraded_miss_threshold is not None:
-        overrides["degraded_miss_threshold"] = args.degraded_miss_threshold
-    elif "degraded_miss_threshold" in overrides:
-        # A raised --miss-threshold lifts the preset's tolerance with it.
-        overrides["degraded_miss_threshold"] = max(
-            overrides["degraded_miss_threshold"], args.miss_threshold
-        )
-    try:
-        if args.kinds:
-            overrides["kinds"] = tuple(
-                FaultKind(entry.strip())
-                for entry in args.kinds.split(",")
-                if entry.strip()
-            )
-        rebuild = dict(
-            rebuild_time_min=args.recovery_rebuild_min,
-            rebuild_time_max=args.recovery_rebuild_max,
-            deadline=args.recovery_deadline,
-        )
-        if args.success_prob is None:
-            microreboot = MicrorebootConfig(**rebuild)
-        else:
-            microreboot = MicrorebootConfig.with_uniform_prob(
-                args.success_prob, **rebuild
-            )
-        overrides.update(
-            trials=args.trials,
-            seed=args.seed,
-            vms=args.vms,
-            faults_per_trial=args.faults,
-            detector=args.detector,
-            miss_threshold=args.miss_threshold,
-            recovery_time=args.recovery_time,
-            microreboot=microreboot,
-            serving=_serving_config(args),
-            integrity=_integrity_config(
-                args, args.integrity or "integrity" in overrides
-            ),
-        )
-        config = CampaignConfig(**overrides)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    subscribers = []
-    if args.trace is not None:
-        from .telemetry import TraceWriter
-
-        subscribers.append(TraceWriter(args.trace))
+    subscribers = [] if args.trace is None else [TraceWriter(args.trace)]
     started = time.perf_counter()
     try:
         result = ChaosCampaign(config, subscribers=subscribers).run()
@@ -828,7 +753,8 @@ def _cmd_chaos(args) -> int:
     wall = time.perf_counter() - started
     print(render_table(
         result.summary_rows(),
-        title=f"Chaos campaign (seed={args.seed}, detector={args.detector})",
+        title=f"Chaos campaign (seed={config.seed}, "
+              f"detector={config.detector})",
     ))
     print(render_table(
         [
@@ -858,92 +784,66 @@ def _cmd_chaos(args) -> int:
     return 0 if result.total_dropped_vms == 0 else 1
 
 
-def _cmd_serve(args) -> int:
-    from .analysis.serving import strategy_comparison_rows
-    from .serving import STRATEGIES, ServingConfig, ServingStudy, StudyConfig
+def _serve_config(args) -> StudyConfig:
+    return from_args(StudyConfig, args, serving=from_args(ServingConfig, args))
 
-    try:
-        config = StudyConfig(
-            serving=ServingConfig(
-                users=args.users,
-                rate_per_user=args.rate_per_user,
-                demand=args.demand,
-                slo=args.slo,
-                hedge=args.hedge,
-            ),
-            seed=args.seed,
-            duration=args.duration,
-            crash_at=args.crash_at,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+
+def _cmd_serve(args, config) -> int:
+    from .analysis.serving import strategy_comparison_rows
+    from .serving import STRATEGIES, ServingStudy
+
     study = ServingStudy(config)
     strategies = STRATEGIES if args.strategy == "all" else (args.strategy,)
     outcomes = {name: study.run_strategy(name) for name in strategies}
     print(render_table(
         strategy_comparison_rows(outcomes, order=strategies),
-        title=f"User-visible latency by strategy (seed={args.seed}, "
+        title=f"User-visible latency by strategy (seed={config.seed}, "
               f"{config.serving.aggregate_rate:g} req/s, "
-              f"SLO={args.slo:g}s, crash at {args.crash_at:g}s)",
+              f"SLO={config.serving.slo:g}s, crash at {config.crash_at:g}s)",
     ))
     return 0
 
 
-def _cmd_fleet(args) -> int:
+def _fleet_config(args) -> FleetCampaignConfig:
+    spec = from_args(
+        FleetSpec, args,
+        integrity=from_args(IntegrityConfig, args) if args.integrity else None,
+    )
+    return from_args(
+        FleetCampaignConfig, args, spec=spec,
+        serving=from_args(ServingConfig, args, prefix="serving-")
+        if args.serving_users else None,
+    )
+
+
+def _cmd_fleet(args, config) -> int:
     import time
 
-    from .faults import FaultKind
-    from .fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
-    from .hardware.units import MIB
+    from .fleet import FleetCampaign
     from .profiling import throughput_line
 
+    campaign = FleetCampaign(config)
+    started = time.perf_counter()
     try:
-        spec = FleetSpec(
-            zones=args.zones,
-            racks_per_zone=args.racks,
-            hosts_per_rack=args.hosts_per_rack,
-            spares=args.spares,
-            vms=args.vms,
-            vm_memory_bytes=int(args.vm_memory_mib * MIB),
-            quantum=args.quantum,
-            seed=args.seed,
-            anti_affinity=args.anti_affinity,
-            max_vms_per_link=args.max_vms_per_link,
-            recovery_policy=args.recovery_policy,
-            integrity=_integrity_config(args, args.integrity),
-        )
-        config = FleetCampaignConfig(
-            spec=spec,
-            settle_time=args.settle_time,
-            fault_window=args.fault_window,
-            recovery_time=args.recovery_time,
-            faults=args.faults,
-            kinds=(FaultKind(args.kind),),
-            serving=_serving_config(args),
-        )
-        campaign = FleetCampaign(config)
-        started = time.perf_counter()
         result = campaign.run()
-        wall = time.perf_counter() - started
-    except (ValueError, RuntimeError) as error:
+    except RuntimeError as error:
+        # The fleet cannot be stood up: unplaceable VMs, or initial
+        # seeding missed its deadline.
         print(f"error: {error}", file=sys.stderr)
         return 2
+    wall = time.perf_counter() - started
     print(render_table(
         result.summary_rows(),
-        title=f"Fleet campaign (seed={args.seed}, kind={args.kind}, "
-              f"quantum={args.quantum:g}s)",
+        title=f"Fleet campaign (seed={config.spec.seed}, "
+              f"kind={config.kinds[0].value}, "
+              f"quantum={config.spec.quantum:g}s)",
     ))
     if result.fault_descriptions:
         print(render_table(
             [{"fault": detail} for detail in result.fault_descriptions],
             title="Injected faults",
         ))
-    reprotected = [
-        record
-        for record in campaign.orchestrator.reprotections
-        if not record.failed
-    ]
+    reprotected = [r for r in campaign.orchestrator.reprotections if not r.failed]
     if reprotected:
         print(render_table(
             [
@@ -1108,10 +1008,29 @@ _COMMANDS = {
 }
 
 
+#: Commands whose flags first build a config (replicate: its
+#: deployment), then run with it.  A ValueError while building is a
+#: usage error; an error while running keeps its traceback.
+_CONFIGS = {
+    "chaos": _chaos_config,
+    "fleet": _fleet_config,
+    "serve": _serve_config,
+    "replicate": _replicate_deployment,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    command = _COMMANDS[args.command]
+    if args.command not in _CONFIGS:
+        return command(args)
+    try:
+        config = _CONFIGS[args.command](args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    return command(args, config)
 
 
 if __name__ == "__main__":  # pragma: no cover

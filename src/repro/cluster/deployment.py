@@ -77,7 +77,7 @@ class DeploymentSpec:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.engine == "remus" and not math.isfinite(self.period):
             raise ValueError("Remus needs a finite checkpoint period")
-        if self.engine == "colo" and self.comparison_interval <= 0:
+        if self.engine == "colo" and not self.comparison_interval > 0:
             raise ValueError("COLO needs a positive comparison interval")
         if self.transport is not None and self.engine != "here":
             raise ValueError(

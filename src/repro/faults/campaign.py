@@ -136,9 +136,7 @@ class CampaignConfig:
             raise ValueError(f"a VM needs >= 1 vCPU: {self.vm_vcpus}")
         if self.kvm_hosts < 1:
             raise ValueError("a trial needs >= 1 KVM secondary host")
-        for name in ("settle_time", "fault_window", "recovery_time"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_schedule(self)
         if self.detector not in ("heartbeat", "phi"):
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.faults_per_trial < 1:
@@ -215,16 +213,32 @@ CHAOS_PRESETS: Dict[str, dict] = {
 }
 
 
+def check_schedule(config) -> None:
+    """The checks both campaign configs share.
+
+    Fault kinds may be given by value (``"host-crash"``), as the CLI
+    and the sweep wire format carry them; at least one is needed.  The
+    settle, fault-window and recovery times must be finite and >= 0: a
+    trial runs for their sum, so an infinite one would never end.
+    """
+    kinds = tuple(FaultKind(kind) for kind in config.kinds)
+    object.__setattr__(config, "kinds", kinds)
+    if not kinds:
+        raise ValueError("a campaign needs >= 1 fault kind")
+    for name in ("settle_time", "fault_window", "recovery_time"):
+        value = getattr(config, name)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be >= 0 and finite: {value}")
+
+
 def decode_params(params: dict) -> dict:
     """``params`` with the objects :meth:`CampaignConfig.to_params`
-    flattened rebuilt: fault-kind values become a :class:`FaultKind`
-    tuple, and ``microreboot``/``integrity``/``serving`` dicts their
-    config dataclasses.  Other keys pass through untouched, so fleet
+    flattened rebuilt: ``microreboot``/``integrity``/``serving`` dicts
+    become their config dataclasses (the configs take fault kinds by
+    value themselves).  Other keys pass through untouched, so fleet
     trial params decode here too.
     """
     params = dict(params)
-    if "kinds" in params:
-        params["kinds"] = tuple(FaultKind(kind) for kind in params["kinds"])
     nested = {"microreboot": MicrorebootConfig, "integrity": IntegrityConfig}
     if isinstance(params.get("serving"), dict):
         from ..serving import ServingConfig

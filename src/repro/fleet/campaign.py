@@ -26,6 +26,7 @@ from typing import (
 )
 
 from ..analysis.availability import observed_availability_nines
+from ..faults.campaign import check_schedule
 from ..faults.spec import (
     CORRUPTION_KINDS,
     FaultKind,
@@ -69,9 +70,7 @@ class FleetCampaignConfig:
     def __post_init__(self):
         if self.faults < 1:
             raise ValueError(f"a campaign needs >= 1 fault: {self.faults}")
-        for name in ("settle_time", "fault_window", "recovery_time"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_schedule(self)
         zone_kinds = set(self.kinds) & ZONE_KINDS
         if zone_kinds == ZONE_KINDS:
             raise ValueError(

@@ -112,10 +112,6 @@ class MigrationStats:
         )
 
     @property
-    def total_bytes_sent(self) -> float:
-        return sum(record.bytes_sent for record in self.iterations)
-
-    @property
     def iteration_count(self) -> int:
         return len(self.iterations)
 

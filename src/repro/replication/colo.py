@@ -140,7 +140,7 @@ class ColoEngine:
         divergence_probability: Optional[float] = None,
         name: str = "colo",
     ):
-        if comparison_interval <= 0:
+        if not comparison_interval > 0:  # NaN included
             raise ValueError(
                 f"comparison interval must be positive: {comparison_interval}"
             )

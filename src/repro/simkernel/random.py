@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Sequence
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -99,10 +99,6 @@ class ZipfianGenerator:
             self.item_count * (self._eta * u - self._eta + 1.0) ** self._alpha
         )
 
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            yield self.next()
-
 
 class ScrambledZipfian:
     """YCSB's scrambled zipfian: zipfian popularity, hashed item identity.
@@ -118,10 +114,6 @@ class ScrambledZipfian:
     def next(self) -> int:
         raw = self._zipf.next()
         return fnv1a_64(raw) % self.item_count
-
-    def __iter__(self) -> Iterator[int]:
-        while True:
-            yield self.next()
 
 
 def fnv1a_64(value: int) -> int:

@@ -42,6 +42,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             fast_config(**{name: -1.0})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name", ["settle_time", "fault_window", "recovery_time"]
+    )
+    def test_non_finite_durations_rejected(self, name, value):
+        # A trial runs for settle + window + recovery: an infinite (or
+        # NaN) time would never end.
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+            fast_config(**{name: value})
+
+    def test_empty_kinds_rejected(self):
+        with pytest.raises(ValueError, match="fault kind"):
+            fast_config(kinds=())
+
+    def test_kinds_given_by_value_become_fault_kinds(self):
+        config = fast_config(kinds=["host-crash", FaultKind.LINK_PARTITION])
+        assert config.kinds == (
+            FaultKind.HOST_CRASH, FaultKind.LINK_PARTITION,
+        )
+        with pytest.raises(ValueError, match="gamma-rays"):
+            fast_config(kinds=["gamma-rays"])
+
 
 class TestDeterminism:
     def test_same_seed_identical_fingerprint(self):

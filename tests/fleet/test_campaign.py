@@ -1,5 +1,7 @@
 """Seeded fleet campaigns: end-to-end runs and the determinism contract."""
 
+import math
+
 import pytest
 
 from repro.faults import FaultKind
@@ -45,6 +47,21 @@ class TestConfigValidation:
     def test_pair_scale_kinds_rejected(self):
         with pytest.raises(ValueError, match="domain/host power"):
             config(kinds=(FaultKind.LINK_PARTITION,))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize(
+        "name", ["settle_time", "fault_window", "recovery_time"]
+    )
+    def test_negative_or_non_finite_times_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0 and finite"):
+            config(**{name: value})
+
+    def test_empty_kinds_rejected(self):
+        with pytest.raises(ValueError, match="fault kind"):
+            config(kinds=())
+
+    def test_kinds_given_by_value_become_fault_kinds(self):
+        assert config(kinds=["rack-outage"]).kinds == (FaultKind.RACK_OUTAGE,)
 
 
 class TestCampaignRun:

@@ -48,6 +48,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build(divergence_probability=1.5)
 
+    def test_nan_comparison_interval_rejected(self):
+        with pytest.raises(ValueError, match="comparison interval"):
+            build(comparison_interval=float("nan"))
+
     def test_factory_is_homogeneous_only(self):
         sim = Simulation(seed=1)
         testbed = build_testbed(sim)

@@ -71,11 +71,6 @@ class TestZipfian:
         b = ZipfianGenerator(100, rng=random.Random(3))
         assert [a.next() for _ in range(50)] == [b.next() for _ in range(50)]
 
-    def test_iterator_protocol(self):
-        generator = ZipfianGenerator(10, rng=random.Random(4))
-        stream = iter(generator)
-        assert all(0 <= next(stream) < 10 for _ in range(100))
-
 
 class TestScrambledZipfian:
     def test_values_in_range(self):

@@ -118,6 +118,8 @@ class TestReplicateMigrateInputValidation:
         ["replicate", "--period", "0"],
         ["replicate", "--engine", "remus", "--period", "0"],
         ["replicate", "--engine", "colo", "--comparison-interval", "0"],
+        ["replicate", "--engine", "colo", "--comparison-interval", "nan"],
+        ["plan", "--host-memory-gib", "-5"],
     ])
     def test_bad_input_is_a_clean_usage_error(self, capsys, argv):
         try:
@@ -299,6 +301,19 @@ class TestChaosCommand:
     def test_negative_recovery_time_is_a_clean_error(self, capsys):
         assert main(["chaos", "--trials", "1", "--recovery-time", "-100"]) == 2
         assert "error: recovery_time must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_recovery_time_is_a_clean_error(self, capsys, value):
+        assert main(["chaos", "--trials", "1", "--recovery-time", value]) == 2
+        assert "error: recovery_time must be >= 0 and finite" in (
+            capsys.readouterr().err
+        )
+
+    def test_empty_kinds_list_is_a_clean_error(self, capsys):
+        assert main(["chaos", "--trials", "1", "--kinds", ","]) == 2
+        err = capsys.readouterr().err
+        assert "error: a campaign needs >= 1 fault kind" in err
+        assert "Traceback" not in err
 
 
 class TestServeCommand:
