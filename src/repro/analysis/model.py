@@ -73,13 +73,6 @@ def estimate_alpha(
     return fit.slope * parallelism, max(0.0, fit.intercept)
 
 
-def relative_change(baseline: float, measured: float) -> float:
-    """(measured - baseline) / baseline; NaN-safe for zero baselines."""
-    if baseline == 0:
-        return math.nan
-    return (measured - baseline) / baseline
-
-
 def improvement_pct(baseline: float, improved: float) -> float:
     """How much smaller ``improved`` is than ``baseline``, in percent.
 

@@ -4,16 +4,14 @@ The ``repro.recovery`` subsystem produces per-incident telemetry
 (``recovery`` spans, blackouts, escalations); campaigns aggregate it
 into counts and windows.  This module turns those aggregates into the
 comparisons the three-way policy study reports: recovery-success
-rates, expected blackout under a success probability, and side-by-side
-policy rows built from same-seed campaign results.
+rates and side-by-side policy rows built from same-seed campaign
+results.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, List, Mapping
-
-from .availability import observed_availability_nines
 
 
 def recovery_success_rate(succeeded: int, attempted: int) -> float:
@@ -29,52 +27,6 @@ def recovery_success_rate(succeeded: int, attempted: int) -> float:
             f"succeeded ({succeeded}) cannot exceed attempted ({attempted})"
         )
     return succeeded / attempted if attempted else math.nan
-
-
-def expected_blackout(
-    success_prob: float,
-    recovery_blackout: float,
-    failover_mttr: float,
-) -> float:
-    """Expected per-incident blackout of the *hybrid* policy.
-
-    A successful microreboot costs its own blackout; a failed one pays
-    the microreboot time *and then* the failover MTTR on top — the
-    hybrid's downside is additive, which is why it only wins when the
-    success probability is high enough.
-    """
-    if not 0.0 <= success_prob <= 1.0:
-        raise ValueError(f"success_prob must be in [0, 1]: {success_prob}")
-    if recovery_blackout < 0 or failover_mttr < 0:
-        raise ValueError("blackout and MTTR must be >= 0")
-    return recovery_blackout + (1.0 - success_prob) * failover_mttr
-
-
-def blackout_comparison(
-    success_prob: float,
-    recovery_blackout: float,
-    failover_mttr: float,
-) -> List[Dict]:
-    """Expected-blackout rows for the three policies at one operating
-    point (analytic, not simulated — the campaign rows are the
-    measured counterpart).
-
-    Pure recover-in-place is priced at the recovery blackout for the
-    successful fraction and *unbounded* loss for the rest (rendered as
-    ``inf``): a failed microreboot with no fallback drops the VM.
-    """
-    hybrid = expected_blackout(success_prob, recovery_blackout, failover_mttr)
-    return [
-        {"policy": "failover", "expected_blackout_s": failover_mttr,
-         "vm_survives": 1.0},
-        {"policy": "recover-in-place",
-         "expected_blackout_s": (
-             recovery_blackout if success_prob == 1.0 else math.inf
-         ),
-         "vm_survives": success_prob},
-        {"policy": "hybrid", "expected_blackout_s": hybrid,
-         "vm_survives": 1.0},
-    ]
 
 
 def policy_comparison_rows(results: Mapping[str, object]) -> List[Dict]:
@@ -100,18 +52,3 @@ def policy_comparison_rows(results: Mapping[str, object]) -> List[Dict]:
         })
     return rows
 
-
-def nines_per_policy(
-    downtime_by_policy: Mapping[str, float], observed_seconds: float
-) -> Dict[str, float]:
-    """Availability nines for each policy over one observation span."""
-    if observed_seconds <= 0:
-        raise ValueError(
-            f"observed_seconds must be positive: {observed_seconds}"
-        )
-    return {
-        policy: observed_availability_nines(
-            max(downtime, 0.0), observed_seconds
-        )
-        for policy, downtime in downtime_by_policy.items()
-    }

@@ -58,16 +58,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_metrics(aggregator, title: str = "", kind: Optional[str] = None) -> str:
-    """Render a :class:`~repro.telemetry.MetricsAggregator` as a table.
-
-    One row per record name with count / total / mean / p50 / p90 /
-    p99 / max — the quick look at where simulated time and events went.
-    Pass ``kind`` ("span", "counter" or "gauge") to show one family.
-    """
-    return render_table(aggregator.summary_rows(kind=kind), title=title)
-
-
 def render_series(
     times: Sequence[float],
     values: Sequence[float],

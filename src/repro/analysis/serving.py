@@ -14,14 +14,6 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 
-def slo_attainment(report) -> float:
-    """Fraction of requests answered within the SLO (NaN when empty)."""
-    rate = report.violation_rate
-    if math.isnan(rate):
-        return math.nan
-    return 1.0 - rate
-
-
 def hedging_improvement_pct(unhedged_p999: float, hedged_p999: float) -> float:
     """How much request cloning shaved off the p999 tail (percent)."""
     if not (math.isfinite(unhedged_p999) and math.isfinite(hedged_p999)):

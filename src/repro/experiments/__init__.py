@@ -18,7 +18,7 @@ Turns the repo's ad-hoc benchmark scripts into sweeps:
 """
 
 from .gate import GateReport, MetricDelta, RegressionGate, Tolerance, load_baseline
-from .registry import register_trial, registered_kinds, resolve_trial
+from .registry import register_trial, resolve_trial
 from .runner import SweepResult, SweepRunner, TrialOutcome
 from .spec import (
     ExperimentSpec,
@@ -45,6 +45,5 @@ __all__ = [
     "fingerprint_of",
     "load_baseline",
     "register_trial",
-    "registered_kinds",
     "resolve_trial",
 ]

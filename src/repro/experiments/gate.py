@@ -44,6 +44,12 @@ class Tolerance:
     direction: str = "both"
 
     def __post_init__(self):
+        if not (0.0 <= self.relative < math.inf
+                and 0.0 <= self.absolute < math.inf):
+            raise ValueError(
+                "tolerance margins must be finite and >= 0, got "
+                f"relative={self.relative}, absolute={self.absolute}"
+            )
         if self.direction not in ("both", "at-least", "at-most"):
             raise ValueError(
                 f"direction must be 'both', 'at-least' or 'at-most', "

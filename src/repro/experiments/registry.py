@@ -11,7 +11,7 @@ throwaway kinds).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 TrialRunner = Callable[[dict], object]
 
@@ -45,6 +45,3 @@ def resolve_trial(kind: str) -> TrialRunner:
             f"known kinds: {sorted(_RUNNERS)}"
         ) from None
 
-
-def registered_kinds() -> List[str]:
-    return sorted(_RUNNERS)

@@ -79,8 +79,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0: {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive: {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(
+                f"timeout must be positive and finite: {self.timeout}"
+            )
 
     def canonical(self) -> Dict[str, Any]:
         """The fingerprinted identity: kind + params + seed only."""
@@ -92,11 +94,6 @@ class ExperimentSpec:
 
     def fingerprint(self) -> str:
         return fingerprint_of(self.canonical())
-
-    def with_params(self, **params: Any) -> "ExperimentSpec":
-        merged = dict(self.params)
-        merged.update(params)
-        return replace(self, params=merged)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ class FaultKind(Enum):
     HYPERVISOR_CRASH = "hypervisor-crash"
     #: Hypervisor stops responding; guests stall but survive in memory.
     HYPERVISOR_HANG = "hypervisor-hang"
-    #: Resource-exhaustion DoS: operations slow by ``starvation_factor``.
+    #: DoS by resource exhaustion: operations slow by ``starvation_factor``.
     HYPERVISOR_STARVE = "hypervisor-starve"
     #: The guest OS crashes itself (fork bomb, kernel panic).
     GUEST_CRASH = "guest-crash"
@@ -243,17 +243,6 @@ class FaultSchedule:
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    @property
-    def end_time(self) -> float:
-        """When the last injection (not revert) fires, relative to arming."""
-        latest = 0.0
-        for spec in self.specs:
-            at = spec.at
-            if spec.kind is FaultKind.CORRELATED:
-                at += max(p.at for p in spec.parts)
-            latest = max(latest, at)
-        return latest
 
     @classmethod
     def single(cls, spec: FaultSpec) -> "FaultSchedule":

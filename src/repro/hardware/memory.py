@@ -37,11 +37,6 @@ class MemorySpec:
         return self.total_bytes - self.reserved_bytes
 
     @property
-    def per_node_bytes(self) -> int:
-        """Bytes per NUMA node (assumed symmetric)."""
-        return self.total_bytes // self.numa_nodes
-
-    @property
     def total_pages(self) -> int:
         """Total 4 KiB page frames."""
         return self.total_bytes // PAGE_SIZE

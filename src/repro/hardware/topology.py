@@ -29,14 +29,6 @@ class Testbed:
     #: Service network into the secondary (used after failover).
     service_secondary: Link
 
-    def service_link_for(self, host: Host) -> Link:
-        """The service-network link attached to ``host``."""
-        if host is self.primary:
-            return self.service_primary
-        if host is self.secondary:
-            return self.service_secondary
-        raise ValueError(f"{host!r} is not part of this testbed")
-
 
 def build_testbed(
     sim,

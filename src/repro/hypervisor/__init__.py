@@ -6,7 +6,6 @@ from .errors import (
     HypervisorDown,
     HypervisorError,
     IncompatibleGuest,
-    ToolstackError,
 )
 from .features import (
     COMMON_FEATURES,
@@ -33,7 +32,6 @@ __all__ = [
     "KVM_EXTRA_FEATURES",
     "KVM_FEATURES",
     "KvmHypervisor",
-    "ToolstackError",
     "XEN_EXTRA_FEATURES",
     "XEN_FEATURES",
     "XenHypervisor",

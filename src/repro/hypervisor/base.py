@@ -282,7 +282,7 @@ class Hypervisor:
         self._notify_failure(reason)
 
     def starve(self, reason: str, factor: float = 8.0) -> None:
-        """Resource starvation: operations slow by ``factor``."""
+        """Starve the hypervisor of resources: operations slow by ``factor``."""
         if self.state is not HypervisorState.RUNNING:
             return
         if factor < 1.0:

@@ -23,6 +23,3 @@ class GuestNotFound(HypervisorError):
 class IncompatibleGuest(HypervisorError):
     """The guest's feature set cannot run on this hypervisor."""
 
-
-class ToolstackError(HypervisorError):
-    """A userspace toolstack command failed."""

@@ -8,7 +8,7 @@ userspace component kvmtool"; this module models that activation path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ...vm.machine import VirtualMachine
 
@@ -22,32 +22,6 @@ class KvmtoolUserspace:
 
     def _log(self, command: str, argument: str) -> None:
         self.command_log.append((self.hypervisor.sim.now, command, argument))
-
-    def prepare_replica(
-        self,
-        vm_name: str,
-        vcpus: int,
-        memory_bytes: int,
-        seed: int = 0,
-        features: Optional[frozenset] = None,
-    ):
-        """Generator: pre-create the (not-running) replica VM shell.
-
-        The replica's memory is allocated and mapped ahead of time so
-        failover only needs to load the final state and unpause.
-        """
-        hypervisor = self.hypervisor
-        self._log("prepare-replica", vm_name)
-        yield hypervisor.sim.timeout(hypervisor.operation_delay(5e-3))
-        replica = hypervisor.create_vm(
-            vm_name,
-            vcpus=vcpus,
-            memory_bytes=memory_bytes,
-            seed=seed,
-            features=features,
-        )
-        # The replica exists but does not execute until failover.
-        return replica
 
     def activate_replica(self, vm: VirtualMachine):
         """Generator: start executing the replica (failover moment).

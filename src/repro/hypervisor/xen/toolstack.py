@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..errors import ToolstackError
-
 #: Base latency of a trivial toolstack command (fork xl, connect to
 #: the daemon, issue the libxl call).
 COMMAND_BASE_LATENCY = 2e-3
@@ -83,18 +81,3 @@ class XlToolstack:
         yield self._delay(COMMAND_BASE_LATENCY)
         hypervisor.destroy_vm(vm_name)
 
-    def save_state(self, vm_name: str) -> "dict":
-        """Extract guest state (``xl save``-style, but in-memory).
-
-        Not a generator: the extraction cost is accounted by the
-        replication engine as part of the checkpoint constant C.
-        """
-        hypervisor = self.hypervisor
-        hypervisor._check_responsive()
-        vm = hypervisor.get_vm(vm_name)
-        if not vm.is_paused:
-            raise ToolstackError(
-                f"cannot extract state of {vm_name!r}: VM must be paused"
-            )
-        self._log("save-state", vm_name)
-        return hypervisor.extract_guest_state(vm)

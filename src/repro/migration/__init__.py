@@ -1,10 +1,6 @@
 """Live VM migration: iterative pre-copy, multithreaded seeding."""
 
-from .chunks import (
-    assign_chunks_round_robin,
-    balance_factor,
-    per_thread_dirty_pages,
-)
+from .chunks import per_thread_dirty_pages
 from .engine import (
     MigrationConfig,
     MigrationEngine,
@@ -22,9 +18,7 @@ __all__ = [
     "MigrationMode",
     "MigrationStats",
     "PrecopyResult",
-    "assign_chunks_round_robin",
     "iterative_precopy",
-    "balance_factor",
     "per_thread_dirty_pages",
     "split_evenly",
     "state_payload_bytes",

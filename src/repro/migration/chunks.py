@@ -8,35 +8,11 @@ round-robin fashion.  Each thread scans the shared dirty bitmap for
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from ..vm.dirty import DirtySnapshot, unique_pages_batch
-
-
-def assign_chunks_round_robin(
-    chunk_ids: Sequence[int], n_threads: int
-) -> List[List[int]]:
-    """Distribute ``chunk_ids`` over ``n_threads`` in round-robin order.
-
-    The assignment is by *chunk index modulo thread count* — a static
-    partition of the address space, as in HERE — so the same chunk is
-    always owned by the same thread across checkpoints.  One modulo
-    over the whole id array and one mask per thread replace the
-    historical per-chunk append loop; within each thread the ids keep
-    their input order, exactly as the loop produced them.
-    """
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    ids = np.asarray(chunk_ids, dtype=np.int64)
-    if ids.size == 0:
-        return [[] for _ in range(n_threads)]
-    negative = ids[ids < 0]
-    if negative.size:
-        raise ValueError(f"negative chunk id: {int(negative[0])}")
-    residues = ids % n_threads
-    return [ids[residues == thread].tolist() for thread in range(n_threads)]
 
 
 def per_thread_dirty_pages(
@@ -67,18 +43,3 @@ def per_thread_dirty_pages(
         for thread in range(n_threads)
     ]
 
-
-def balance_factor(per_thread_pages: Sequence[float]) -> float:
-    """Load balance quality: max share over mean share (1.0 = perfect).
-
-    Round-robin over interleaved chunks keeps this near 1 for uniform
-    workloads; skewed working sets push it up, which directly lengthens
-    the checkpoint (its duration is the maximum over threads).
-    """
-    loads = np.asarray(list(per_thread_pages), dtype=np.float64)
-    if loads.size == 0:
-        return 1.0
-    mean = loads.mean()
-    if mean <= 0:
-        return 1.0
-    return float(loads.max() / mean)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 @dataclass
@@ -155,21 +155,6 @@ class ReplicationStats:
         return sum(c.period_used for c in self.checkpoints) / len(
             self.checkpoints
         )
-
-    def period_series(self) -> Tuple[List[float], List[float]]:
-        """(time, period) series for the Fig. 9/10 plots."""
-        times = [c.started_at for c in self.checkpoints]
-        periods = [c.period_used for c in self.checkpoints]
-        return times, periods
-
-    def degradation_series(self) -> Tuple[List[float], List[float]]:
-        """(time, degradation) series for the Fig. 9/10 plots."""
-        times = [c.started_at for c in self.checkpoints]
-        values = [c.degradation for c in self.checkpoints]
-        return times, values
-
-    def total_bytes_sent(self) -> float:
-        return sum(c.bytes_sent for c in self.checkpoints)
 
     def summary(self) -> dict:
         return {

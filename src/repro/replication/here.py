@@ -20,7 +20,6 @@ from ..integrity.config import IntegrityConfig
 from .engine import ReplicationConfig, ReplicationEngine
 from .transport import TransportConfig
 from .period import DynamicPeriodController, FixedPeriodController, PeriodController
-from .pipeline import CheckpointPipeline, build_checkpoint_pipeline
 from .translator import StateTranslator
 
 #: Default number of checkpoint transfer threads (one per vCPU of the
@@ -66,23 +65,6 @@ def here_config(
         per_vcpu_seeding=True,
         transport=transport,
         integrity=integrity,
-    )
-
-
-def here_pipeline(
-    checkpoint_threads: int = DEFAULT_CHECKPOINT_THREADS,
-) -> CheckpointPipeline:
-    """HERE's checkpoint as a declarative stage lineup.
-
-    Identical stage sequence to Remus's — that is the point of the
-    pipeline — differing only in the chunked round-robin multithreaded
-    transfer policy (§7.2(2)) and the ``translate`` stage between state
-    extraction and shipping (§7.4), which *is* the heterogeneity.
-    """
-    return build_checkpoint_pipeline(
-        here_config(here_controller(0.3), checkpoint_threads),
-        heterogeneous=True,
-        name="here-checkpoint",
     )
 
 

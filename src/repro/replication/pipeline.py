@@ -632,11 +632,6 @@ class CheckpointPipeline:
         self._fault_hooks.setdefault(stage_name, []).append(hook)
         return hook
 
-    def remove_fault_hook(self, stage_name: str, hook: FaultHook) -> None:
-        hooks = self._fault_hooks.get(stage_name, [])
-        if hook in hooks:
-            hooks.remove(hook)
-
     def run(self, ctx: CheckpointContext):
         """Generator: run every stage in order against ``ctx``."""
         bus = ctx.bus

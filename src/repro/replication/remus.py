@@ -15,7 +15,6 @@ from ..hardware.perfmodel import TransferCostModel
 from ..hypervisor.base import Hypervisor
 from .engine import ReplicationConfig, ReplicationEngine
 from .period import FixedPeriodController
-from .pipeline import CheckpointPipeline, build_checkpoint_pipeline
 from .translator import StateTranslator
 
 
@@ -27,20 +26,6 @@ def remus_config(period: float) -> ReplicationConfig:
         chunked_transfer=False,
         per_vcpu_seeding=False,
         seeding_threads=1,
-    )
-
-
-def remus_pipeline(period: float = 1.0) -> CheckpointPipeline:
-    """Remus's checkpoint as a declarative stage lineup.
-
-    ``pause → capture-dirty → compress → transfer → extract-state →
-    ship-state → await-ack → resume → commit-release`` with a flat
-    single-thread transfer policy and — the defining absence — no
-    ``translate`` stage: Remus only ever replicates onto the same
-    hypervisor flavor.
-    """
-    return build_checkpoint_pipeline(
-        remus_config(period), heterogeneous=False, name="remus-checkpoint"
     )
 
 

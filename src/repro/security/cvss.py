@@ -118,15 +118,7 @@ class CvssVector:
             return "Medium"
         return "High"
 
-    # -- serialisation ------------------------------------------------------------
-    def to_string(self) -> str:
-        """Canonical ``AV:N/AC:L/Au:N/C:N/I:N/A:P`` form."""
-        return (
-            f"AV:{self.access_vector.value}/AC:{self.access_complexity.value}"
-            f"/Au:{self.authentication.value}/C:{self.confidentiality.value}"
-            f"/I:{self.integrity.value}/A:{self.availability.value}"
-        )
-
+    # -- parsing ------------------------------------------------------------------
     @classmethod
     def parse(cls, vector: str) -> "CvssVector":
         """Parse the canonical vector string form."""

@@ -123,8 +123,3 @@ def is_covered(source: FailureSource, guest_failure: bool) -> bool:
         entry.guest_failure_covered if guest_failure else entry.host_failure_covered
     )
 
-
-def double_exploit_requirement(first_affected: bool, second_affected: bool) -> bool:
-    """§6's hardening claim: the infrastructure only falls if the
-    attacker holds *working exploits for both hypervisors at once*."""
-    return first_affected and second_affected

@@ -332,87 +332,3 @@ def compare_strategies(
         for report in reports
     ]
 
-
-def cve_success_prob(outcome, config=None) -> float:
-    """Microreboot success probability for one CVE-induced failure.
-
-    Every exploit-induced failure is the ``cve`` fault class (latent
-    corruption is about *why* the hypervisor died), but the observable
-    outcome still grades the rebuild's odds: a Crash means the exploit
-    already smashed state hard enough to trip a fatal check, while a
-    Hang or Starvation leaves structures intact-but-wedged, so the
-    rebuild starts from cleaner wreckage — priced at the midpoint of
-    the ``cve`` and ``hang`` class probabilities.
-    """
-    from ..recovery import MicrorebootConfig
-    from .nvd import PostAttackOutcome
-
-    config = config or MicrorebootConfig()
-    if outcome in (PostAttackOutcome.HANG, PostAttackOutcome.STARVATION):
-        return (config.success_prob_cve + config.success_prob_hang) / 2.0
-    return config.success_prob_cve
-
-
-def corpus_recovery_comparison(
-    database,
-    timeline: VulnerabilityTimeline,
-    attacker: AttackerModel,
-    product: str = "Xen",
-    config=None,
-    transplant_time: float = 60.0,
-    here_recovery_time: float = 0.1,
-    here_unprotected_window: float = 10.0,
-) -> List[Dict]:
-    """Mean per-strategy expected outage across a product's DoS CVEs.
-
-    Runs :func:`compare_strategies` once per DoS-only CVE affecting
-    ``product`` — each with that record's outcome-graded microreboot
-    success probability (:func:`cve_success_prob`) — and averages the
-    expected outage per strategy.  The recovery blackout is the
-    microreboot model's own expectation (preserve + mean rebuild).
-    """
-    from ..recovery import MicrorebootConfig
-
-    config = config or MicrorebootConfig()
-    records = list(database.for_product(product).dos_only())
-    if not records:
-        raise ValueError(f"no DoS-only CVEs for product {product!r}")
-    blackout = config.preserve_time + (
-        config.rebuild_time_min + config.rebuild_time_max
-    ) / 2.0
-    totals: Dict[str, Dict[str, float]] = {}
-    order: List[str] = []
-    for record in records:
-        rows = compare_strategies(
-            timeline,
-            attacker,
-            transplant_time=transplant_time,
-            here_recovery_time=here_recovery_time,
-            here_unprotected_window=here_unprotected_window,
-            recovery_success_prob=cve_success_prob(record.outcome, config),
-            recovery_blackout=blackout,
-        )
-        for row in rows:
-            strategy = row["strategy"]
-            if strategy not in totals:
-                totals[strategy] = {
-                    "exposed_days": 0.0,
-                    "outage_per_attack_s": 0.0,
-                    "expected_outage_s": 0.0,
-                }
-                order.append(strategy)
-            for key in totals[strategy]:
-                totals[strategy][key] += row[key]
-    count = len(records)
-    return [
-        {
-            "strategy": strategy,
-            "cves": count,
-            "exposed_days": totals[strategy]["exposed_days"] / count,
-            "outage_per_attack_s": totals[strategy]["outage_per_attack_s"]
-            / count,
-            "expected_outage_s": totals[strategy]["expected_outage_s"]
-            / count,
-        }
-        for strategy in order
-    ]

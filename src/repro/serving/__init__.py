@@ -24,7 +24,7 @@ Layers:
 """
 
 from ..telemetry.histogram import LatencyHistogram, LatencySamples
-from .arrivals import PoissonArrivals, TraceArrivals, parse_trace
+from .arrivals import PoissonArrivals, TraceArrivals
 from .model import (
     ServingConfig,
     ServingReport,
@@ -55,7 +55,6 @@ __all__ = [
     "StudyConfig",
     "TraceArrivals",
     "overlay_report",
-    "parse_trace",
     "ps_complete",
     "segments_from_windows",
     "serve_timeline",

@@ -16,7 +16,7 @@ tree, so the same seed reproduces the same arrival vector bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -131,24 +131,3 @@ class TraceArrivals:
             return np.empty(0, dtype=np.float64)
         return np.concatenate(chunks)
 
-
-def parse_trace(text: Sequence[str] | str, tick: float = 1.0) -> TraceArrivals:
-    """Build :class:`TraceArrivals` from lines of integer counts.
-
-    Accepts an iterable of lines or one newline/comma-separated string
-    (the ``repro serve --trace-counts`` input format); blank lines and
-    ``#`` comments are ignored.
-    """
-    if isinstance(text, str):
-        lines = text.replace(",", "\n").splitlines()
-    else:
-        lines = list(text)
-    counts = []
-    for line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        counts.append(int(stripped))
-    if not counts:
-        raise ValueError("arrival trace is empty")
-    return TraceArrivals(counts=tuple(counts), tick=tick)

@@ -9,7 +9,7 @@ The kernel underpins every simulated subsystem in this repository
 * :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` —
   waitable occurrences.
 * :class:`Process` — generator-backed concurrent activities.
-* :class:`Resource`, :class:`Store`, :class:`Gate` — synchronisation.
+* :class:`Gate` — a reusable open/closed barrier.
 * :class:`Interrupt` — delivered by ``process.interrupt()``.
 * :class:`RandomRegistry` and the YCSB generators — deterministic chance.
 
@@ -46,7 +46,7 @@ from .random import (
     fnv1a_64,
     largest_remainder_allocation,
 )
-from .resources import Gate, Resource, Store
+from .resources import Gate
 from .sharded import ShardedSimulation
 
 __all__ = [
@@ -60,13 +60,11 @@ __all__ = [
     "PRIORITY_URGENT",
     "Process",
     "RandomRegistry",
-    "Resource",
     "ScrambledZipfian",
     "ShardedSimulation",
     "Simulation",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "UnhandledEventFailure",
     "ZipfianGenerator",

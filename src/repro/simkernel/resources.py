@@ -1,147 +1,14 @@
 """Shared resources for simulation processes.
 
-Three primitives cover the repository's needs:
-
-* :class:`Resource` — a counted capacity (e.g. migrator-thread slots,
-  CPU cores).  Acquire/release; waiters are served FIFO.
-* :class:`Store` — an unbounded (or bounded) FIFO buffer of items with
-  blocking ``get`` (e.g. the PML ring buffers, packet queues).
-* :class:`Gate` — a reusable open/closed barrier (e.g. "VM is running"),
-  cheaper than churning one-shot events for frequently-toggled state.
+:class:`Gate` is a reusable open/closed barrier (e.g. "VM is running"),
+cheaper than churning one-shot events for frequently-toggled state.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import List
 
 from .events import Event
-
-
-class Resource:
-    """A counted resource with FIFO acquisition."""
-
-    def __init__(self, sim, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of currently-held units."""
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        """Number of free units."""
-        return self.capacity - self._in_use
-
-    def acquire(self) -> Event:
-        """Event that succeeds once a unit has been granted to the caller."""
-        event = Event(self.sim, name=f"acquire:{self.name}")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return one unit; hands it straight to the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise RuntimeError(f"release of unheld resource {self.name!r}")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            waiter.succeed(self)
-        else:
-            self._in_use -= 1
-
-    def __repr__(self) -> str:
-        return (
-            f"<Resource {self.name!r} {self._in_use}/{self.capacity} "
-            f"waiters={len(self._waiters)}>"
-        )
-
-
-class Store:
-    """FIFO item buffer with blocking ``get`` and optional capacity."""
-
-    def __init__(self, sim, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        #: Blocked putters as (event, pending item) pairs.
-        self._putters: Deque[tuple] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def items(self) -> List[Any]:
-        """Snapshot of buffered items (oldest first)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Event succeeding once ``item`` has entered the buffer."""
-        event = Event(self.sim, name=f"put:{self.name}")
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed(item)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed(item)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def get(self) -> Event:
-        """Event succeeding with the oldest item once one is available."""
-        event = Event(self.sim, name=f"get:{self.name}")
-        if self._items:
-            event.succeed(self._items.popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: the oldest item, or None if empty."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        self._admit_putter()
-        return item
-
-    def drain(self) -> List[Any]:
-        """Remove and return all buffered items."""
-        items = list(self._items)
-        self._items.clear()
-        while self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            self._admit_putter()
-        return items
-
-    def _admit_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            putter, item = self._putters.popleft()
-            self._items.append(item)
-            putter.succeed(item)
-
-    def __repr__(self) -> str:
-        return f"<Store {self.name!r} items={len(self._items)}>"
 
 
 class Gate:

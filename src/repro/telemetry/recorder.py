@@ -9,9 +9,9 @@ reconstruction (:meth:`repro.replication.checkpoint.ReplicationStats.from_record
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
-from .records import CounterRecord, GaugeRecord, SpanRecord, record_from_dict
+from .records import CounterRecord, GaugeRecord, SpanRecord
 
 
 def _matches(record, name: Optional[str], filters: dict) -> bool:
@@ -44,14 +44,6 @@ class Recorder:
         """Create a recorder and subscribe it to ``bus``."""
         recorder = cls()
         bus.subscribe(recorder)
-        return recorder
-
-    @classmethod
-    def from_dicts(cls, rows: Iterable[dict]) -> "Recorder":
-        """Rebuild a recorder from ``as_dict`` rows (a parsed trace)."""
-        recorder = cls()
-        for row in rows:
-            recorder(record_from_dict(row))
         return recorder
 
     # -- queries -----------------------------------------------------------

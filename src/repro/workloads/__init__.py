@@ -17,7 +17,7 @@ from .sockperf import (
     SockperfServerWorkload,
 )
 from .trace import TraceSample, TraceWorkload, load_trace, parse_trace
-from .spec import SPEC_PROFILES, SpecKernelWorkload, SpecProfile, SpecWorkload
+from .spec import SPEC_PROFILES, SpecProfile, SpecWorkload
 from .ycsb import (
     CORE_WORKLOADS,
     DEFAULT_RECORD_BYTES,
@@ -43,7 +43,6 @@ __all__ = [
     "SockperfClient",
     "SockperfConfig",
     "SockperfServerWorkload",
-    "SpecKernelWorkload",
     "SpecProfile",
     "SpecWorkload",
     "TraceSample",

@@ -91,26 +91,6 @@ class MiniLSM:
     def _entry_bytes(key: str, value) -> int:
         return len(key) + (len(value) if isinstance(value, (str, bytes)) else 8)
 
-    @property
-    def total_bytes_written(self) -> int:
-        """All bytes the engine has ever written (WAL + flush + compact)."""
-        return (
-            self.bytes_written_wal
-            + self.bytes_written_flush
-            + self.bytes_written_compaction
-        )
-
-    @property
-    def write_amplification(self) -> float:
-        """Total device writes per WAL byte (>= 1 once flushes happen)."""
-        if self.bytes_written_wal == 0:
-            return 1.0
-        return self.total_bytes_written / self.bytes_written_wal
-
-    @property
-    def run_count(self) -> int:
-        return len(self._runs)
-
     def __len__(self) -> int:
         """Approximate live-key count (tombstones excluded, newest wins)."""
         live = {}

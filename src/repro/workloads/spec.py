@@ -9,18 +9,12 @@ constants are calibrated so stock Remus at T = 3 s reproduces the
 Fig. 14 degradation profile (gcc 24 %, cactuBSSN 35 %, namd 21 %,
 lbm 20 % — derivation in DESIGN.md); working-set sizes follow the
 published SPEC footprints.
-
-:class:`SpecKernelWorkload` additionally executes a real (tiny) numeric
-kernel per tick — a Jacobi stencil standing in for lbm's lattice-
-Boltzmann sweep — so examples can demonstrate genuine guest compute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
-
-import numpy as np
 
 from ..hardware.units import MIB, PAGE_SIZE
 from ..vm.machine import VirtualMachine
@@ -100,39 +94,3 @@ class SpecWorkload(Workload):
     def working_set_pages(self) -> int:
         return min(self.profile.working_set_pages(), self.vm.total_pages)
 
-
-class SpecKernelWorkload(SpecWorkload):
-    """A SPEC profile that also runs a real stencil kernel each tick.
-
-    The kernel is a Jacobi relaxation over a small grid — genuinely
-    burning host CPU like a compute benchmark would — sized so a full
-    experiment stays fast.  Results accumulate in :attr:`residual`.
-    """
-
-    def __init__(
-        self,
-        sim,
-        vm: VirtualMachine,
-        benchmark: str = "lbm",
-        grid_size: int = 64,
-        name: Optional[str] = None,
-        tick: float = 0.05,
-    ):
-        super().__init__(sim, vm, benchmark=benchmark, name=name, tick=tick)
-        if grid_size < 4:
-            raise ValueError(f"grid must be at least 4x4: {grid_size}")
-        rng = np.random.default_rng(sim.random.stream(self.name).getrandbits(32))
-        self._grid = rng.random((grid_size, grid_size))
-        self.residual = float("inf")
-        self.kernel_sweeps = 0
-
-    def on_tick(self, effective_seconds: float) -> None:
-        """One Jacobi sweep per tick of real execution."""
-        grid = self._grid
-        updated = grid.copy()
-        updated[1:-1, 1:-1] = 0.25 * (
-            grid[:-2, 1:-1] + grid[2:, 1:-1] + grid[1:-1, :-2] + grid[1:-1, 2:]
-        )
-        self.residual = float(np.abs(updated - grid).max())
-        self._grid = updated
-        self.kernel_sweeps += 1

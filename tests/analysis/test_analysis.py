@@ -6,64 +6,15 @@ import pytest
 
 from repro.analysis import (
     LinearFit,
-    TimeSeries,
     estimate_alpha,
     format_value,
     improvement_pct,
     linear_fit,
-    rate_of_progress,
-    relative_change,
     render_bars,
     render_series,
     render_table,
-    respects_target,
 )
 from repro.experiments.presets import slowdown_pct
-
-
-class TestTimeSeries:
-    def test_append_and_stats(self):
-        series = TimeSeries("t")
-        series.extend([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
-        assert series.mean() == pytest.approx(3.0)
-        assert series.last() == 5.0
-        assert len(series) == 3
-
-    def test_time_must_not_go_backwards(self):
-        series = TimeSeries()
-        series.append(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.append(4.0, 2.0)
-
-    def test_window(self):
-        series = TimeSeries()
-        series.extend([(0.0, 1.0), (5.0, 2.0), (10.0, 3.0)])
-        windowed = series.window(1.0, 9.0)
-        assert windowed.values == [2.0]
-
-    def test_value_at_step_interpolation(self):
-        series = TimeSeries()
-        series.extend([(0.0, 1.0), (10.0, 2.0)])
-        assert series.value_at(5.0) == 1.0
-        assert series.value_at(10.0) == 2.0
-        assert series.value_at(100.0) == 2.0
-
-    def test_resample(self):
-        series = TimeSeries()
-        series.extend([(0.0, 1.0), (3.0, 2.0)])
-        resampled = series.resample(1.0)
-        assert resampled.values == [1.0, 1.0, 1.0, 2.0]
-
-    def test_empty_series(self):
-        series = TimeSeries()
-        assert math.isnan(series.mean())
-        with pytest.raises(IndexError):
-            series.last()
-
-    def test_rate_of_progress(self):
-        samples = [(float(t), 10.0 * t) for t in range(11)]
-        rates = rate_of_progress(samples, window=2.0)
-        assert rates.values[-1] == pytest.approx(10.0)
 
 
 class TestLinearFit:
@@ -105,28 +56,9 @@ class TestChangeMetrics:
         assert improvement_pct(10.0, 3.0) == pytest.approx(70.0)
         assert math.isnan(improvement_pct(0.0, 1.0))
 
-    def test_relative_change(self):
-        assert relative_change(10.0, 15.0) == pytest.approx(0.5)
-
     def test_throughput_slowdown(self):
         assert slowdown_pct(48.0, 100.0) == pytest.approx(52.0)
         assert math.isnan(slowdown_pct(1.0, 0.0))
-
-
-class TestRespectsTarget:
-    def test_all_within_target(self):
-        assert respects_target([0.28, 0.31, 0.29], target=0.3)
-
-    def test_soft_target_allows_outliers(self):
-        # One transient spike must not fail a soft target check.
-        samples = [0.3] * 20 + [0.9]
-        assert respects_target(samples, target=0.3)
-
-    def test_systematic_violation_detected(self):
-        assert not respects_target([0.6] * 20, target=0.3)
-
-    def test_empty_is_vacuously_true(self):
-        assert respects_target([], target=0.3)
 
 
 class TestRendering:

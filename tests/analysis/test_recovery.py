@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    blackout_comparison,
-    expected_blackout,
-    nines_per_policy,
-    policy_comparison_rows,
-    recovery_success_rate,
-)
+from repro.analysis import policy_comparison_rows, recovery_success_rate
 
 
 class TestSuccessRate:
@@ -24,39 +18,6 @@ class TestSuccessRate:
     def test_validation(self, args):
         with pytest.raises(ValueError):
             recovery_success_rate(*args)
-
-
-class TestExpectedBlackout:
-    def test_certain_success_costs_only_the_blackout(self):
-        assert expected_blackout(1.0, 0.4, 2.0) == pytest.approx(0.4)
-
-    def test_failure_branch_adds_the_failover_mttr(self):
-        # p=0.5: blackout always paid, failover MTTR half the time.
-        assert expected_blackout(0.5, 0.4, 2.0) == pytest.approx(1.4)
-
-    @pytest.mark.parametrize(
-        "args", [(1.5, 0.4, 2.0), (0.5, -0.1, 2.0), (0.5, 0.4, -2.0)]
-    )
-    def test_validation(self, args):
-        with pytest.raises(ValueError):
-            expected_blackout(*args)
-
-
-class TestBlackoutComparison:
-    def test_pure_policy_prices_failure_as_unbounded(self):
-        rows = {r["policy"]: r for r in blackout_comparison(0.8, 0.4, 2.0)}
-        assert rows["recover-in-place"]["expected_blackout_s"] == math.inf
-        assert rows["recover-in-place"]["vm_survives"] == pytest.approx(0.8)
-        assert rows["failover"]["vm_survives"] == 1.0
-        assert rows["hybrid"]["vm_survives"] == 1.0
-        assert rows["hybrid"]["expected_blackout_s"] == pytest.approx(0.8)
-
-    def test_certain_success_collapses_the_policies(self):
-        rows = {r["policy"]: r for r in blackout_comparison(1.0, 0.4, 2.0)}
-        assert rows["recover-in-place"]["expected_blackout_s"] == (
-            pytest.approx(0.4)
-        )
-        assert rows["hybrid"]["expected_blackout_s"] == pytest.approx(0.4)
 
 
 class TestPolicyComparisonRows:
@@ -86,15 +47,3 @@ class TestPolicyComparisonRows:
             by_policy["hybrid"]["mean_unprotected_window_s"]
             < by_policy["failover"]["mean_unprotected_window_s"]
         )
-
-
-class TestNinesPerPolicy:
-    def test_less_downtime_is_more_nines(self):
-        nines = nines_per_policy(
-            {"failover": 10.0, "hybrid": 1.0}, observed_seconds=10_000.0
-        )
-        assert nines["hybrid"] > nines["failover"]
-
-    def test_observed_span_must_be_positive(self):
-        with pytest.raises(ValueError):
-            nines_per_policy({"failover": 1.0}, observed_seconds=0.0)

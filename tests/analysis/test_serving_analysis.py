@@ -5,11 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import (
-    hedging_improvement_pct,
-    slo_attainment,
-    strategy_comparison_rows,
-)
+from repro.analysis import hedging_improvement_pct, strategy_comparison_rows
 
 
 def report(**overrides):
@@ -37,12 +33,6 @@ def outcome(**overrides):
 
 
 class TestHelpers:
-    def test_slo_attainment_complements_the_violation_rate(self):
-        assert slo_attainment(report()) == 0.975
-        assert math.isnan(
-            slo_attainment(report(violation_rate=math.nan))
-        )
-
     def test_hedging_improvement(self):
         assert hedging_improvement_pct(0.2, 0.15) == pytest.approx(25.0)
         assert hedging_improvement_pct(0.2, 0.25) == pytest.approx(-25.0)

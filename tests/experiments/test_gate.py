@@ -54,6 +54,14 @@ class TestTolerance:
         with pytest.raises(ValueError, match="direction"):
             Tolerance(direction="sideways")
 
+    @pytest.mark.parametrize("margins", [
+        dict(relative=-1.0), dict(relative=math.nan), dict(relative=math.inf),
+        dict(absolute=-1e-9), dict(absolute=math.nan),
+    ])
+    def test_negative_or_non_finite_margin_rejected(self, margins):
+        with pytest.raises(ValueError, match="margins"):
+            Tolerance(**margins)
+
 
 class TestRegressionGate:
     def test_pass_and_fail_verdicts(self):

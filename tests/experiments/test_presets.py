@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments import SweepRunner, registered_kinds, resolve_trial
+from repro.experiments import SweepRunner, resolve_trial
 from repro.experiments.presets import (
     BENCH_SEED,
     TABLE6,
@@ -67,7 +67,6 @@ class TestResolveSetup:
 class TestSweepBuilders:
     def test_builtin_kinds_registered(self):
         for kind in ("throughput", "checkpoint", "chaos-trial"):
-            assert kind in registered_kinds()
             assert callable(resolve_trial(kind))
 
     def test_chaos_sweep_one_spec_per_trial(self):

@@ -145,19 +145,6 @@ class TestFaultSchedule:
     def test_single(self):
         schedule = FaultSchedule.single(host_crash(at=2.0))
         assert len(schedule) == 1
-        assert schedule.end_time == 2.0
-
-    def test_end_time_includes_correlated_parts(self):
-        schedule = FaultSchedule(
-            specs=(
-                FaultSpec(
-                    FaultKind.CORRELATED,
-                    at=3.0,
-                    parts=(host_crash(at=0.0), host_crash(at=2.5)),
-                ),
-            )
-        )
-        assert schedule.end_time == pytest.approx(5.5)
 
 
 class TestRandomSchedules:

@@ -143,6 +143,3 @@ class TestTestbed:
         assert testbed.primary.name == "host-A"
         assert testbed.secondary.name == "host-B"
         assert testbed.interconnect.forward.capacity == pytest.approx(12.5e9)
-        assert testbed.service_link_for(testbed.primary) is testbed.service_primary
-        with pytest.raises(ValueError):
-            testbed.service_link_for(make_host(sim, "stranger"))

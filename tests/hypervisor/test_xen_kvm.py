@@ -12,7 +12,6 @@ from repro.hypervisor import (
     available_flavors,
     install,
 )
-from repro.hypervisor.errors import ToolstackError
 from repro.simkernel import Simulation
 
 
@@ -99,28 +98,12 @@ class TestXlToolstack:
         commands = [command for _t, command, _a in xen.toolstack.command_log]
         assert commands == ["create"]
 
-    def test_save_state_requires_pause(self, setup):
-        sim, _tb, xen, _kvm = setup
-        sim.run_until_triggered(sim.process(xen.toolstack.create("dom1", 1, GIB)))
-        with pytest.raises(ToolstackError):
-            xen.toolstack.save_state("dom1")
-
 
 class TestKvm:
-    def test_prepare_replica_creates_stopped_shell(self, setup):
-        sim, _tb, _xen, kvm = setup
-        prepare = sim.process(
-            kvm.userspace.prepare_replica("replica", 2, GIB)
-        )
-        replica = sim.run_until_triggered(prepare)
-        assert not replica.is_running
-        assert kvm.get_vm("replica") is replica
-
     def test_activate_replica_is_fast_and_switches_devices(self, setup):
         sim, _tb, xen, kvm = setup
         # A replica seeded from Xen still carries Xen device models.
-        prepare = sim.process(kvm.userspace.prepare_replica("r", 2, GIB))
-        replica = sim.run_until_triggered(prepare)
+        replica = kvm.create_vm("r", vcpus=2, memory_bytes=GIB)
         replica.device_flavor = "xen"
         from repro.vm import standard_pv_devices
 

@@ -49,16 +49,6 @@ class TestReplicationStats:
         expected = (1 / 5 + 2 / 6 + 1.5 / 3.5) / 3
         assert stats.mean_degradation() == pytest.approx(expected)
 
-    def test_series(self, stats):
-        times, periods = stats.period_series()
-        assert times == [10.0, 15.0, 21.0]
-        assert periods == [4.0, 4.0, 2.0]
-        _times, degradations = stats.degradation_series()
-        assert degradations[0] == pytest.approx(0.2)
-
-    def test_total_bytes(self, stats):
-        assert stats.total_bytes_sent() == pytest.approx(3 * 1000 * 4096)
-
     def test_empty_stats_report_nan(self):
         stats = ReplicationStats(vm_name="vm", engine="here")
         assert math.isnan(stats.mean_pause_duration())

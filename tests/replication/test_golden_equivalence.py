@@ -128,7 +128,7 @@ def run_scenario(kind):
     return {
         "checkpoints": stats.checkpoint_count,
         "last_acked_epoch": engine.last_acked_epoch,
-        "total_bytes": stats.total_bytes_sent(),
+        "total_bytes": sum(c.bytes_sent for c in stats.checkpoints),
         "stats_digest": hashlib.sha256(stats_blob.encode()).hexdigest(),
         "trace_digest": hashlib.sha256(trace_blob.encode()).hexdigest(),
     }

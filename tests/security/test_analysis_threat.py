@@ -10,7 +10,6 @@ from repro.security import (
     VulnerabilityDatabase,
     build_default_database,
     coverage_matrix,
-    double_exploit_requirement,
     heterogeneity_exposure,
     is_covered,
     shared_lineage_records,
@@ -98,10 +97,3 @@ class TestTable2Matrix:
     def test_every_source_has_rationale(self):
         for entry in EXPECTED_COVERAGE.values():
             assert len(entry.rationale) > 20
-
-    def test_double_exploit_requirement(self):
-        # §6: bringing down the whole infrastructure needs BOTH
-        # hypervisors exploitable at once.
-        assert double_exploit_requirement(True, True)
-        assert not double_exploit_requirement(True, False)
-        assert not double_exploit_requirement(False, True)

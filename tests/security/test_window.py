@@ -235,54 +235,3 @@ class TestRecoveryExposure:
             by_name["hybrid (microreboot + HERE)"]["expected_outage_s"]
             < by_name["patching"]["expected_outage_s"]
         )
-
-
-class TestCveSuccessProb:
-    def test_outcome_grades_the_rebuild_odds(self):
-        from repro.recovery import MicrorebootConfig
-        from repro.security import cve_success_prob
-        from repro.security.nvd import PostAttackOutcome
-
-        config = MicrorebootConfig()
-        crash = cve_success_prob(PostAttackOutcome.CRASH, config)
-        hang = cve_success_prob(PostAttackOutcome.HANG, config)
-        starve = cve_success_prob(PostAttackOutcome.STARVATION, config)
-        assert crash == config.success_prob_cve
-        assert hang == starve
-        assert crash < hang < config.success_prob_hang
-
-    def test_unknown_outcome_uses_the_cve_class(self):
-        from repro.recovery import MicrorebootConfig
-        from repro.security import cve_success_prob
-
-        assert cve_success_prob(None) == MicrorebootConfig().success_prob_cve
-
-
-class TestCorpusRecoveryComparison:
-    def test_averages_across_the_xen_dos_corpus(self):
-        from repro.security import (
-            build_default_database,
-            corpus_recovery_comparison,
-        )
-
-        database = build_default_database()
-        rows = corpus_recovery_comparison(database, TIMELINE, ATTACKER)
-        strategies = [row["strategy"] for row in rows]
-        assert "recover-in-place" in strategies
-        assert "hybrid (microreboot + HERE)" in strategies
-        count = rows[0]["cves"]
-        assert count > 0
-        assert all(row["cves"] == count for row in rows)
-        by_name = {row["strategy"]: row for row in rows}
-        assert (
-            by_name["hybrid (microreboot + HERE)"]["expected_outage_s"]
-            < by_name["recover-in-place"]["expected_outage_s"]
-        )
-
-    def test_empty_corpus_rejected(self):
-        from repro.security import VulnerabilityDatabase, corpus_recovery_comparison
-
-        with pytest.raises(ValueError, match="no DoS-only CVEs"):
-            corpus_recovery_comparison(
-                VulnerabilityDatabase(), TIMELINE, ATTACKER
-            )

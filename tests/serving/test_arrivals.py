@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving import PoissonArrivals, TraceArrivals, parse_trace
+from repro.serving import PoissonArrivals, TraceArrivals
 
 
 class TestPoissonArrivals:
@@ -82,18 +82,3 @@ class TestTraceArrivals:
             TraceArrivals(counts=(1, -2))
         with pytest.raises(ValueError, match="tick"):
             TraceArrivals(counts=(1,), tick=0.0)
-
-
-class TestParseTrace:
-    def test_comma_separated_string(self):
-        trace = parse_trace("5, 3, 0, 7", tick=0.5)
-        assert trace.counts == (5, 3, 0, 7)
-        assert trace.tick == 0.5
-
-    def test_lines_with_comments_and_blanks(self):
-        trace = parse_trace(["# peak hour", "10", "", "  20  "])
-        assert trace.counts == (10, 20)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            parse_trace("# only a comment")

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.simkernel import (
     Simulation,
-    Store,
     ZipfianGenerator,
     largest_remainder_allocation,
 )
@@ -53,17 +52,6 @@ def test_simultaneous_events_keep_creation_order(delays):
     sim.run()
     expected = [i for i, _d in sorted(enumerate(delays), key=lambda p: (p[1], p[0]))]
     assert observed == expected
-
-
-@given(items=st.lists(st.integers(), max_size=50))
-@settings(max_examples=100, deadline=None)
-def test_store_is_fifo_for_any_sequence(items):
-    sim = Simulation()
-    store = Store(sim)
-    for item in items:
-        store.put(item)
-    drained = [store.get().value for _ in range(len(items))]
-    assert drained == items
 
 
 @given(

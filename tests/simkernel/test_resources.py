@@ -1,130 +1,13 @@
-"""Resource, Store and Gate synchronisation primitives."""
+"""The Gate synchronisation primitive."""
 
 import pytest
 
-from repro.simkernel import Gate, Resource, Simulation, Store
+from repro.simkernel import Gate, Simulation
 
 
 @pytest.fixture
 def sim():
     return Simulation(seed=0)
-
-
-class TestResource:
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
-    def test_immediate_acquire_within_capacity(self, sim):
-        resource = Resource(sim, capacity=2)
-        assert resource.acquire().triggered
-        assert resource.acquire().triggered
-        assert resource.available == 0
-
-    def test_acquire_blocks_at_capacity_and_fifo_wakeup(self, sim):
-        resource = Resource(sim, capacity=1)
-        order = []
-
-        def worker(name, hold):
-            yield resource.acquire()
-            order.append((sim.now, f"{name}-in"))
-            yield sim.timeout(hold)
-            resource.release()
-            order.append((sim.now, f"{name}-out"))
-
-        sim.process(worker("a", 2.0))
-        sim.process(worker("b", 1.0))
-        sim.process(worker("c", 1.0))
-        sim.run()
-        assert order == [
-            (0.0, "a-in"),
-            (2.0, "a-out"),
-            (2.0, "b-in"),
-            (3.0, "b-out"),
-            (3.0, "c-in"),
-            (4.0, "c-out"),
-        ]
-
-    def test_release_of_unheld_resource_rejected(self, sim):
-        resource = Resource(sim)
-        with pytest.raises(RuntimeError):
-            resource.release()
-
-    def test_release_hands_unit_to_waiter_directly(self, sim):
-        resource = Resource(sim, capacity=1)
-        resource.acquire()
-        waiter = resource.acquire()
-        assert not waiter.triggered
-        resource.release()
-        assert waiter.triggered
-        assert resource.in_use == 1
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("x")
-        got = store.get()
-        assert got.triggered and got.value == "x"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        results = []
-
-        def consumer():
-            item = yield store.get()
-            results.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(3.0)
-            yield store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert results == [(3.0, "late")]
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        for item in (1, 2, 3):
-            store.put(item)
-        assert [store.get().value for _ in range(3)] == [1, 2, 3]
-
-    def test_capacity_blocks_putter(self, sim):
-        store = Store(sim, capacity=1)
-        store.put("first")
-        blocked = store.put("second")
-        assert not blocked.triggered
-        assert store.get().value == "first"
-        assert blocked.triggered
-        assert store.items == ["second"]
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put("a")
-        assert store.try_get() == "a"
-
-    def test_drain_empties_store(self, sim):
-        store = Store(sim)
-        for item in "abc":
-            store.put(item)
-        assert store.drain() == ["a", "b", "c"]
-        assert len(store) == 0
-
-    def test_drain_admits_blocked_putters(self, sim):
-        store = Store(sim, capacity=2)
-        store.put(1)
-        store.put(2)
-        blocked = store.put(3)
-        assert not blocked.triggered
-        assert store.drain() == [1, 2]
-        assert blocked.triggered
-        assert store.items == [3]
 
 
 class TestGate:

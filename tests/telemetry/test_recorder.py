@@ -1,4 +1,4 @@
-"""Recorder queries and reconstruction from serialised rows."""
+"""Recorder queries."""
 
 from repro.simkernel import Simulation
 from repro.telemetry import Recorder
@@ -50,16 +50,3 @@ class TestQueries:
         assert len(recorder) == 5
         recorder.clear()
         assert len(recorder) == 0
-
-
-class TestFromDicts:
-    def test_round_trip_through_as_dict(self):
-        original = populated()
-        rebuilt = Recorder.from_dicts(r.as_dict() for r in original.records)
-        assert rebuilt.records == original.records
-
-    def test_span_tree_survives(self):
-        original = populated()
-        rebuilt = Recorder.from_dicts(r.as_dict() for r in original.records)
-        [outer] = rebuilt.spans("outer")
-        assert [s.name for s in rebuilt.children_of(outer)] == ["inner"]

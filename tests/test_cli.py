@@ -120,6 +120,15 @@ class TestReplicateMigrateInputValidation:
         ["replicate", "--engine", "colo", "--comparison-interval", "0"],
         ["replicate", "--engine", "colo", "--comparison-interval", "nan"],
         ["plan", "--host-memory-gib", "-5"],
+        ["plan", "--kvm-hosts", "-3"],
+        ["plan", "--xen-hosts", "0"],
+        ["sweep", "--preset", "ycsb", "--duration", "-5"],
+        ["sweep", "--preset", "table6", "--duration", "0"],
+        ["sweep", "--preset", "serving", "--duration", "nan"],
+        ["sweep", "--recovery-time", "inf"],
+        ["sweep", "--timeout", "nan"],
+        ["sweep", "--tolerance", "-1"],
+        ["sweep", "--tolerance", "nan"],
     ])
     def test_bad_input_is_a_clean_usage_error(self, capsys, argv):
         try:
