@@ -18,12 +18,14 @@ immediately), and the client takes the first response that arrives
 (first-response-wins; the loser is simply ignored, a conservative
 no-cancellation model).  Lost-on-primary requests answered by their
 clone are *rescued* — hedging converts blackout losses into latency.
+Everything before the hedge draw is independent of ``hedge``, so
+:func:`overlay_reports` runs it once for several hedge probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ from ..simkernel.random import derive_seed
 from ..telemetry.histogram import LatencyHistogram
 from ..telemetry.metrics import fingerprint_float as _finite
 from .arrivals import PoissonArrivals
-from .queue import ps_complete
+from .queue import CapacitySegment, ps_complete
 from .timeline import ServiceTimeline
 
 
@@ -53,14 +55,10 @@ class ServingConfig:
     def __post_init__(self):
         if self.users < 1:
             raise ValueError(f"need at least one user: {self.users}")
-        if self.rate_per_user <= 0:
-            raise ValueError(
-                f"rate_per_user must be positive: {self.rate_per_user}"
-            )
-        if self.demand <= 0:
-            raise ValueError(f"demand must be positive: {self.demand}")
-        if self.slo <= 0:
-            raise ValueError(f"slo must be positive: {self.slo}")
+        for name in ("rate_per_user", "demand", "slo"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite: {value}")
         if not 0.0 <= self.hedge <= 1.0:
             raise ValueError(f"hedge must be in [0, 1]: {self.hedge}")
 
@@ -206,71 +204,114 @@ def serve_timeline(
     arrivals_process: Optional[PoissonArrivals] = None,
 ) -> ServingReport:
     """Run one VM's population against its timeline."""
+    return _serve_timeline(
+        timeline, config, seed, (config.hedge,), arrivals_process
+    )[0]
+
+
+def _serve_timeline(
+    timeline: ServiceTimeline,
+    config: ServingConfig,
+    seed: int,
+    hedges: Sequence[float],
+    arrivals_process: Optional[PoissonArrivals] = None,
+) -> List[ServingReport]:
+    """One report per hedge probability in ``hedges``.
+
+    The arrivals, the primary queue and the egress mapping do not
+    depend on the hedge, so they are computed once; each report equals
+    a :func:`serve_timeline` run with ``config.hedge`` set to its
+    hedge.
+    """
     process = arrivals_process or config.arrivals()
     rng = np.random.default_rng(
         derive_seed(seed, f"serving:{timeline.vm}")
     )
     arrivals = process.sample(timeline.start, timeline.horizon, rng)
-    report = ServingReport(config=config)
-    report.requests = int(arrivals.size)
+    reports = [
+        ServingReport(
+            config=replace(config, hedge=hedge), requests=int(arrivals.size)
+        )
+        for hedge in hedges
+    ]
     if arrivals.size == 0:
-        return report
+        return reports
 
     completions = ps_complete(arrivals, config.demand, timeline.segments())
-    delivered = timeline.deliver(completions)
-    latency = delivered - arrivals
+    latency = timeline.deliver(completions) - arrivals
 
     # -- cloning / hedging ---------------------------------------------------
-    # The hedge draw happens for every request regardless of replica
-    # availability, so turning the replica on or off never shifts the
-    # random stream of a later VM.
-    hedge_mask = (
-        rng.random(arrivals.size) < config.hedge
-        if config.hedge > 0
-        else np.zeros(arrivals.size, dtype=bool)
-    )
-    replica_segments = timeline.replica_segments()
-    if config.hedge > 0 and replica_segments is not None and hedge_mask.any():
-        clone_arrivals = arrivals[hedge_mask]
-        clone_completions = ps_complete(
-            clone_arrivals, config.demand, replica_segments
-        )
-        clone_latency = clone_completions - clone_arrivals
-        primary_latency = latency[hedge_mask]
-        report.hedged = int(hedge_mask.sum())
-        first = np.where(
-            np.isnan(primary_latency),
-            clone_latency,
-            np.where(
-                np.isnan(clone_latency),
-                primary_latency,
-                np.minimum(primary_latency, clone_latency),
-            ),
-        )
-        report.clone_wins = int(
-            np.count_nonzero(
-                ~np.isnan(clone_latency)
-                & (np.isnan(primary_latency) | (clone_latency < primary_latency))
-            )
-        )
-        report.rescued = int(
-            np.count_nonzero(
-                np.isnan(primary_latency) & ~np.isnan(clone_latency)
-            )
-        )
-        latency[hedge_mask] = first
-    elif config.hedge > 0:
-        report.hedged = int(hedge_mask.sum())
+    # The hedge draw follows the arrivals on the same stream and happens
+    # for every request regardless of replica availability, so turning
+    # the replica on or off never shifts the random stream of a later VM.
+    draws = None
+    replica_segments = None
+    if any(hedge > 0 for hedge in hedges):
+        draws = rng.random(arrivals.size)
+        replica_segments = timeline.replica_segments()
+    for report in reports:
+        observed = latency
+        if report.config.hedge > 0:
+            hedge_mask = draws < report.config.hedge
+            report.hedged = int(hedge_mask.sum())
+            if replica_segments is not None and report.hedged:
+                observed = _hedge(
+                    report, latency, arrivals, hedge_mask, replica_segments
+                )
+        _tally(report, observed)
+    return reports
 
+
+def _hedge(
+    report: ServingReport,
+    latency: np.ndarray,
+    arrivals: np.ndarray,
+    hedge_mask: np.ndarray,
+    replica_segments: Sequence[CapacitySegment],
+) -> np.ndarray:
+    """``latency`` with first-response-wins over the clones in
+    ``hedge_mask``; counts clone wins and rescues on ``report``."""
+    clone_arrivals = arrivals[hedge_mask]
+    clone_completions = ps_complete(
+        clone_arrivals, report.config.demand, replica_segments
+    )
+    clone_latency = clone_completions - clone_arrivals
+    primary_latency = latency[hedge_mask]
+    first = np.where(
+        np.isnan(primary_latency),
+        clone_latency,
+        np.where(
+            np.isnan(clone_latency),
+            primary_latency,
+            np.minimum(primary_latency, clone_latency),
+        ),
+    )
+    report.clone_wins = int(
+        np.count_nonzero(
+            ~np.isnan(clone_latency)
+            & (np.isnan(primary_latency) | (clone_latency < primary_latency))
+        )
+    )
+    report.rescued = int(
+        np.count_nonzero(
+            np.isnan(primary_latency) & ~np.isnan(clone_latency)
+        )
+    )
+    hedged = latency.copy()
+    hedged[hedge_mask] = first
+    return hedged
+
+
+def _tally(report: ServingReport, latency: np.ndarray) -> None:
+    """Served, lost and SLO counts plus the latency histogram."""
     lost_mask = np.isnan(latency)
     served_latency = latency[~lost_mask]
     report.lost = int(lost_mask.sum())
     report.served = int(served_latency.size)
     report.violations = report.lost + int(
-        np.count_nonzero(served_latency > config.slo)
+        np.count_nonzero(served_latency > report.config.slo)
     )
     report.histogram.record_many(served_latency)
-    return report
 
 
 def overlay_report(
@@ -294,9 +335,46 @@ def overlay_report(
     mid-campaign harvests; ``extra_blackouts`` adds caller-known dark
     windows (cold restarts) per VM.
     """
+    (merged,) = overlay_reports(
+        recorder,
+        vms,
+        start,
+        horizon,
+        config,
+        seed,
+        (config.hedge,),
+        engine_names=engine_names,
+        extra_blackouts=extra_blackouts,
+        arrivals_process=arrivals_process,
+    )
+    if bus is not None:
+        merged.publish(bus, vms=len(vms))
+    return merged
+
+
+def overlay_reports(
+    recorder,
+    vms: Sequence[str],
+    start: float,
+    horizon: float,
+    config: ServingConfig,
+    seed: int,
+    hedges: Sequence[float],
+    engine_names: Optional[Dict[str, Sequence[str]]] = None,
+    extra_blackouts: Optional[Dict[str, Sequence[tuple]]] = None,
+    arrivals_process: Optional[PoissonArrivals] = None,
+) -> List[ServingReport]:
+    """:func:`overlay_report` once per hedge probability in ``hedges``.
+
+    Each VM's timeline, arrivals and primary queue are built once and
+    shared by every report; report ``i`` equals an
+    :func:`overlay_report` with ``config.hedge = hedges[i]``.
+    """
     if not vms:
         raise ValueError("the serving overlay needs at least one VM")
-    merged = ServingReport(config=config)
+    merged = [
+        ServingReport(config=replace(config, hedge=hedge)) for hedge in hedges
+    ]
     share = arrivals_process or config.arrivals().scaled(1.0 / len(vms))
     for vm in sorted(vms):
         timeline = ServiceTimeline.from_recorder(
@@ -307,9 +385,9 @@ def overlay_report(
             extra_blackouts=(extra_blackouts or {}).get(vm, ()),
             engine_names=(engine_names or {}).get(vm, ()),
         )
-        merged.merge(
-            serve_timeline(timeline, config, seed, arrivals_process=share)
+        reports = _serve_timeline(
+            timeline, config, seed, hedges, arrivals_process=share
         )
-    if bus is not None:
-        merged.publish(bus, vms=len(vms))
+        for total, report in zip(merged, reports):
+            total.merge(report)
     return merged

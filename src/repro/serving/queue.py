@@ -12,22 +12,40 @@ With equal per-request demand ``s`` the PS dynamics collapse onto
 Kleinrock's virtual time ``V(t)`` with ``dV/dt = C(t)/N(t)``: a
 request arriving at ``a`` finishes when ``V`` reaches ``V(a) + s``.
 ``V`` is non-decreasing, so completion order equals arrival order and
-the whole queue reduces to a head pointer over a monotone threshold
-array — O(n) overall, with the completion runs between arrivals popped
-in bulk via a vectorized cumulative sum (the drain after a pause, when
-hundreds of requests finish back to back, is one numpy call).
+the whole queue reduces to a FIFO of monotone virtual thresholds —
+O(n) overall.
+
+The kernel is a scalar loop over Python floats.  At the loads the
+overlay runs (rho = 0.5 in the strategy study) almost every completion
+pops alone, so a numpy drain pays a handful of array calls per
+one-element pop; the scalar loop is several times faster.  It keeps
+the numpy drain's exact arithmetic order, which fixes the rounding of
+every completion time.  Completions pop in *rounds*: a round starts
+from the last completion ``(now, virtual)`` and, for its ``k``-th pop,
+updates ``acc += (theta - prev) * (backlog - k)`` and finishes that
+request at ``now + acc / capacity``.  A round ends at the first time
+past the next arrival or segment end, or after ``_CHUNK`` pops; the
+next round restarts the sum.  The results are byte-identical to the
+earlier vectorised ``np.cumsum`` kernel, which
+``tests/serving/test_queue.py`` keeps as its oracle.
+
+The loop is deliberately not batched across busy periods either: a
+lockstep numpy pass would reorder these sums, and the serving
+fingerprints are bit-for-bit contracts (DESIGN §15).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
-#: Bulk completion pops are chunked so one pop never allocates more
-#: than this many candidate times at once.
+#: One completion round pops at most this many requests before its
+#: running sum restarts (the vectorised kernel's allocation cap, kept
+#: because it fixes where the sums restart).
 _CHUNK = 8192
 
 
@@ -44,10 +62,14 @@ class CapacitySegment:
     lost: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"segment bounds must be finite: {self}")
         if self.end < self.start:
             raise ValueError(f"segment ends before it starts: {self}")
         if self.capacity < 0:
             raise ValueError(f"negative capacity: {self.capacity}")
+        if not math.isfinite(self.capacity):
+            raise ValueError(f"capacity must be finite: {self.capacity}")
 
 
 def validate_segments(segments: Sequence[CapacitySegment]) -> None:
@@ -122,6 +144,8 @@ def ps_complete(
     """
     if demand <= 0:
         raise ValueError(f"per-request demand must be positive: {demand}")
+    if not math.isfinite(demand):
+        raise ValueError(f"per-request demand must be finite: {demand}")
     validate_segments(segments)
     arrivals = np.asarray(arrivals, dtype=np.float64)
     n = arrivals.size
@@ -132,70 +156,63 @@ def ps_complete(
         raise ValueError("arrivals must be sorted ascending")
     if arrivals[0] < segments[0].start or arrivals[-1] > segments[-1].end:
         raise ValueError("arrivals outside the segment span")
+    if np.isnan(arrivals).any():
+        raise ValueError("arrivals must not be NaN")
 
-    theta = np.empty(n, dtype=np.float64)  # virtual completion thresholds
-    head = 0  # oldest unfinished request
-    tail = 0  # next slot to fill
-    virtual = 0.0
-    now = segments[0].start
     arrival_list = arrivals.tolist()
-    next_arrival_index = 0
+    queue: Deque[float] = deque()  # virtual thresholds, oldest first
+    pop, push = queue.popleft, queue.append
+    head = 0  # index of the oldest unfinished request
+    index = 0  # index of the next arrival
+    virtual = 0.0
 
     for segment in segments:
-        now = segment.start
+        end = segment.end
         if segment.lost:
-            # Blackout: everything in flight dies, arrivals bounce.
-            head = tail
-            while (
-                next_arrival_index < n
-                and arrival_list[next_arrival_index] < segment.end
-            ):
-                theta[tail] = math.inf  # lost: never completes
-                head = tail = tail + 1
-                next_arrival_index += 1
-            now = segment.end
+            # Blackout: everything in flight dies, arrivals bounce; all
+            # of them keep their NaN completion.
+            queue.clear()
+            while index < n and arrival_list[index] < end:
+                index += 1
+            head = index
             continue
         capacity = segment.capacity
+        serving = capacity > 0.0
+        now = segment.start
         while True:
-            at_arrival = (
-                next_arrival_index < n
-                and arrival_list[next_arrival_index] < segment.end
-            )
-            boundary = (
-                arrival_list[next_arrival_index]
-                if at_arrival
-                else segment.end
-            )
-            # Pop every completion due before the boundary.  The head
-            # check is scalar (the common no-completion case); runs of
-            # completions fall through to the vectorized cumsum.
-            while head < tail and capacity > 0.0:
-                backlog = tail - head
-                head_time = now + (theta[head] - virtual) * backlog / capacity
-                if head_time > boundary:
+            at_arrival = index < n and arrival_list[index] < end
+            boundary = arrival_list[index] if at_arrival else end
+            # Pop every completion due before the boundary, one round
+            # per pass: the head's time restarts the running sum.
+            while serving and queue:
+                backlog = len(queue)
+                theta = queue[0]
+                acc = (theta - virtual) * backlog
+                time = now + acc / capacity
+                if time > boundary:
                     break
-                chunk = min(backlog, _CHUNK)
-                deltas = np.diff(theta[head : head + chunk], prepend=virtual)
-                times = now + np.cumsum(
-                    deltas * (backlog - np.arange(chunk))
-                ) / capacity
-                popped = int(np.searchsorted(times, boundary, side="right"))
-                if popped == 0:
-                    break
-                completions[head : head + popped] = times[:popped]
-                now = float(times[popped - 1])
-                virtual = float(theta[head + popped - 1])
-                head += popped
-            if at_arrival:
-                if head < tail and capacity > 0.0:
-                    virtual += (boundary - now) * capacity / (tail - head)
-                now = boundary
-                theta[tail] = virtual + demand
-                tail += 1
-                next_arrival_index += 1
-            else:
-                if head < tail and capacity > 0.0:
-                    virtual += (boundary - now) * capacity / (tail - head)
-                now = boundary
+                chunk = backlog if backlog < _CHUNK else _CHUNK
+                popped = 0
+                while True:
+                    pop()
+                    completions[head] = time
+                    head += 1
+                    popped += 1
+                    virtual = theta
+                    last = time
+                    if popped == chunk:
+                        break
+                    theta = queue[0]
+                    acc += (theta - virtual) * (backlog - popped)
+                    time = now + acc / capacity
+                    if time > boundary:
+                        break
+                now = last
+            if serving and queue:
+                virtual += (boundary - now) * capacity / len(queue)
+            now = boundary
+            if not at_arrival:
                 break
+            push(virtual + demand)
+            index += 1
     return completions

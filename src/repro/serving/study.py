@@ -19,15 +19,15 @@ offset into the serving window):
   killing them), falling back to failover when the rebuild fails.
 
 Each scenario yields two :class:`~repro.serving.model.ServingReport`s
-from the *same* recorder and the same arrival stream: hedging off and
-hedging on — so a committed bench row shows exactly what request
-cloning buys during checkpoint pauses.
+from the *same* recorder, arrival stream and primary queue run:
+hedging off and hedging on — so a committed bench row shows exactly
+what request cloning buys during checkpoint pauses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,7 +48,7 @@ from ..recovery import (
 from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
 from ..telemetry.metrics import fingerprint_float as _finite
-from .model import ServingConfig, ServingReport, overlay_report
+from .model import ServingConfig, ServingReport, overlay_reports
 
 #: Strategy order of every study table and bench payload.
 STRATEGIES = ("remus", "here", "colo", "failover", "hybrid-recovery")
@@ -80,15 +80,17 @@ class StudyConfig:
     vcpus: int = 2
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
+        for name in ("duration", "remus_period", "here_t_max", "colo_interval"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite: {value}")
         if not 0 <= self.crash_at < self.duration:
             raise ValueError(
                 f"crash_at must lie inside the window: {self.crash_at}"
             )
-        if not 0 < self.restart_min <= self.restart_max:
+        if not 0 < self.restart_min <= self.restart_max < math.inf:
             raise ValueError(
-                "need 0 < restart_min <= restart_max: "
+                "need 0 < restart_min <= restart_max < inf: "
                 f"{self.restart_min}, {self.restart_max}"
             )
 
@@ -277,29 +279,22 @@ class ServingStudy:
         if engine is not None and getattr(engine, "name", None):
             engine_names[spec.vm_name] = (engine.name,)
 
-        def _report(hedge: float) -> ServingReport:
-            serving = replace(config.serving, hedge=hedge)
-            return overlay_report(
-                recorder,
-                vms=[spec.vm_name],
-                start=serve_start,
-                horizon=horizon,
-                config=serving,
-                seed=derive_seed(config.seed, f"serving-study:{strategy}"),
-                engine_names=engine_names,
-                extra_blackouts={spec.vm_name: extra},
-            )
-
-        report = _report(0.0)
-        hedged = (
-            _report(config.serving.hedge)
-            if config.serving.hedge > 0
-            else None
+        hedge = config.serving.hedge
+        reports = overlay_reports(
+            recorder,
+            vms=[spec.vm_name],
+            start=serve_start,
+            horizon=horizon,
+            config=config.serving,
+            seed=derive_seed(config.seed, f"serving-study:{strategy}"),
+            hedges=(0.0, hedge) if hedge > 0 else (0.0,),
+            engine_names=engine_names,
+            extra_blackouts={spec.vm_name: extra},
         )
         outcome = StrategyOutcome(
             strategy=strategy,
-            report=report,
-            hedged_report=hedged,
+            report=reports[0],
+            hedged_report=reports[1] if hedge > 0 else None,
             crash_time=crash_time,
             detection_time=detection_time,
             blackout=blackout,

@@ -39,6 +39,21 @@ class TestServingConfig:
             with pytest.raises(ValueError):
                 config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(demand=math.nan),
+            dict(demand=math.inf),
+            dict(slo=math.nan),
+            dict(slo=math.inf),
+            dict(rate_per_user=math.nan),
+            dict(rate_per_user=math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            config(**kwargs)
+
     def test_arrivals_carry_the_population(self):
         process = config().arrivals()
         assert process.users == 20_000

@@ -1,6 +1,7 @@
 """The five-way strategy study, on a deliberately small population."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +11,11 @@ from repro.serving import (
     ServingConfig,
     ServingStudy,
     StudyConfig,
+    overlay_report,
     study_fingerprint,
 )
+from repro.serving import model as serving_model
+from repro.serving import study as serving_study
 
 
 def small_config(**overrides):
@@ -41,6 +45,27 @@ class TestStudyConfig:
         # The nested microreboot model validates its own probabilities.
         with pytest.raises(ValueError):
             small_config(microreboot=MicrorebootConfig.with_uniform_prob(1.5))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(duration=math.inf),
+            dict(restart_max=math.inf),
+            dict(restart_min=math.inf, restart_max=math.inf),
+            dict(remus_period=0.0),
+            dict(remus_period=-0.05),
+            dict(remus_period=math.inf),
+            dict(here_t_max=0.0),
+            dict(here_t_max=math.nan),
+            dict(colo_interval=-1.0),
+            dict(colo_interval=math.inf),
+        ],
+    )
+    def test_non_finite_or_non_positive_knobs_rejected(self, kwargs):
+        # Caught here, not as a hung sim.run(until=inf) or a NaN
+        # period deep inside an engine.
+        with pytest.raises(ValueError):
+            small_config(**kwargs)
 
 
 class TestRunStrategy:
@@ -91,3 +116,58 @@ class TestStudyFingerprint:
         assert set(fingerprint) == set(STRATEGIES)
         for strategy in STRATEGIES:
             assert fingerprint[strategy]["requests"] > 0
+
+
+class TestRunOnce:
+    """Each strategy runs its primary queue once for both reports."""
+
+    def run_counted(self, monkeypatch, config):
+        calls = []
+        harvests = []
+        real_queue = serving_model.ps_complete
+        real_overlay = serving_study.overlay_reports
+
+        def counting_queue(*args, **kwargs):
+            calls.append(args)
+            return real_queue(*args, **kwargs)
+
+        def spying_overlay(recorder, **kwargs):
+            harvests.append((recorder, kwargs))
+            return real_overlay(recorder, **kwargs)
+
+        monkeypatch.setattr(serving_model, "ps_complete", counting_queue)
+        monkeypatch.setattr(serving_study, "overlay_reports", spying_overlay)
+        outcomes = ServingStudy(config).run()
+        return outcomes, len(calls), harvests
+
+    def test_hedged_study_queues_each_primary_once(self, monkeypatch):
+        config = small_config()
+        outcomes, calls, harvests = self.run_counted(monkeypatch, config)
+        # Five primary queues plus one clone queue per replicated
+        # strategy: failover has no replica to clone to.
+        assert calls == 5 + 4
+        # Each report equals a standalone overlay on the same recorder
+        # with that hedge, so the arrivals-then-mask draw order held.
+        for strategy, (recorder, kwargs) in zip(STRATEGIES, harvests):
+            assert kwargs.pop("hedges") == (0.0, config.serving.hedge)
+            outcome = outcomes[strategy]
+            for report, hedge in (
+                (outcome.report, 0.0),
+                (outcome.hedged_report, config.serving.hedge),
+            ):
+                alone = overlay_report(
+                    recorder,
+                    **{
+                        **kwargs,
+                        "config": replace(config.serving, hedge=hedge),
+                    },
+                )
+                assert report.fingerprint() == alone.fingerprint()
+                assert report.hedged == alone.hedged
+                assert report.clone_wins == alone.clone_wins
+
+    def test_unhedged_study_queues_each_primary_once(self, monkeypatch):
+        config = small_config(serving=replace(small_config().serving, hedge=0.0))
+        outcomes, calls, _ = self.run_counted(monkeypatch, config)
+        assert calls == 5
+        assert all(o.hedged_report is None for o in outcomes.values())
