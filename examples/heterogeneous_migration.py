@@ -14,6 +14,7 @@ Run:  python examples/heterogeneous_migration.py
 from repro.analysis import render_table
 from repro.cluster import DomainSpec, VirtManager
 from repro.hardware import build_testbed
+from repro.integrity import vcpu_leaf
 from repro.migration import MigrationConfig, MigrationEngine, MigrationMode
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
@@ -49,7 +50,7 @@ def main() -> None:
         testbed.interconnect,
         config=MigrationConfig(mode=MigrationMode.HERE),
     )
-    fingerprints_before = [s.fingerprint() for s in vm.vcpu_states]
+    leaves_before = [vcpu_leaf(s) for s in vm.vcpu_states]
     process = sim.process(engine.migrate("legacy-app"))
     stats = sim.run_until_triggered(process, limit=1e6)
 
@@ -77,7 +78,7 @@ def main() -> None:
     print(f"  now managed by: {kvm_connection.uri} "
           f"({kvm_connection.list_domains()})")
     print(f"  devices: {sorted(d.model for d in vm.devices)}")
-    unchanged = fingerprints_before == [s.fingerprint() for s in vm.vcpu_states]
+    unchanged = leaves_before == [vcpu_leaf(s) for s in vm.vcpu_states]
     print(f"  vCPU architectural state preserved: {unchanged}")
 
 

@@ -116,7 +116,11 @@ class VcpuArchState:
     online: bool = True
 
     def canonical_items(self):
-        """Deterministic flat view of the state, for hashing/equality."""
+        """Deterministic flat view of the state, for hashing/equality.
+
+        ``repro.integrity.digest`` formats this exact layout straight
+        from the fields for speed; its tests pin the two byte-equal.
+        """
         yield ("index", self.index)
         for name in GP_REGISTERS:
             yield (f"gp.{name}", self.gp[name])
@@ -143,10 +147,6 @@ class VcpuArchState:
         ))
         yield ("xsave", self.xsave_area)
         yield ("online", self.online)
-
-    def fingerprint(self) -> int:
-        """Order-independent equality fingerprint of the full state."""
-        return hash(tuple(self.canonical_items()))
 
     def equivalent_to(self, other: "VcpuArchState") -> bool:
         """Architectural equality (what must survive translation)."""

@@ -12,6 +12,7 @@ from repro.hypervisor import (
     available_flavors,
     install,
 )
+from repro.integrity import vcpu_leaf
 from repro.simkernel import Simulation
 
 
@@ -49,11 +50,11 @@ class TestXen:
     def test_extract_load_round_trip(self, setup):
         _sim, _tb, xen, _kvm = setup
         vm = xen.create_vm("a", vcpus=2, memory_bytes=GIB)
-        original = [s.fingerprint() for s in vm.vcpu_states]
+        original = [vcpu_leaf(s) for s in vm.vcpu_states]
         payload = xen.extract_guest_state(vm)
         vm.vcpu_states = []  # wipe
         xen.load_guest_state(vm, payload)
-        assert [s.fingerprint() for s in vm.vcpu_states] == original
+        assert [vcpu_leaf(s) for s in vm.vcpu_states] == original
 
     def test_load_rejects_foreign_format(self, setup):
         _sim, _tb, xen, kvm = setup

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
+from repro.integrity import vcpu_leaf
 from repro.migration import MigrationConfig, MigrationEngine, MigrationMode
 from repro.simkernel import Simulation
 from repro.workloads import IdleWorkload, MemoryMicrobenchmark
@@ -89,9 +90,9 @@ class TestHeterogeneousMigration:
 
     def test_vcpu_state_survives_heterogeneous_transfer(self):
         sim, _xen, _dest, vm, engine = build(MigrationMode.HERE, destination="kvm")
-        fingerprints = [s.fingerprint() for s in vm.vcpu_states]
+        leaves = [vcpu_leaf(s) for s in vm.vcpu_states]
         migrate(sim, engine)
-        assert [s.fingerprint() for s in vm.vcpu_states] == fingerprints
+        assert [vcpu_leaf(s) for s in vm.vcpu_states] == leaves
 
 
 class TestHereSeeding:

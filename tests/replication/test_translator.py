@@ -9,6 +9,7 @@ from repro.hypervisor import (
     XenHypervisor,
     compatible_featureset,
 )
+from repro.integrity import vcpu_leaf
 from repro.replication import StateTranslator
 from repro.simkernel import Simulation
 from repro.vm import sample_running_state
@@ -51,13 +52,13 @@ class TestTranslation:
         _sim, xen, kvm = env
         vm = xen.create_vm("g", vcpus=4, memory_bytes=GIB)
         StateTranslator.prepare_guest(vm, xen, kvm)
-        original = [s.fingerprint() for s in vm.vcpu_states]
+        original = [vcpu_leaf(s) for s in vm.vcpu_states]
         payload = xen.extract_guest_state(vm)
         translated = translator.translate(payload, kvm)
         assert translated["format"] == kvm.state_format
         replica = kvm.create_vm("g", vcpus=4, memory_bytes=GIB)
         kvm.load_guest_state(replica, translated)
-        assert [s.fingerprint() for s in replica.vcpu_states] == original
+        assert [vcpu_leaf(s) for s in replica.vcpu_states] == original
 
     def test_full_round_trip_xen_kvm_xen(self, env, translator):
         _sim, xen, kvm = env

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.hypervisor.kvm import formats as kvm_formats
 from repro.hypervisor.xen import formats as xen_formats
+from repro.integrity import vcpu_leaf
 from repro.vm import (
     CONTROL_REGISTERS,
     GP_REGISTERS,
@@ -111,4 +112,4 @@ def test_cross_family_translation_is_lossless(state):
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_is_translation_invariant(state):
     kvm_view = kvm_formats.record_to_vcpu(kvm_formats.vcpu_to_record(state))
-    assert kvm_view.fingerprint() == state.fingerprint()
+    assert vcpu_leaf(kvm_view) == vcpu_leaf(state)

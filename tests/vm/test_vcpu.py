@@ -42,17 +42,11 @@ class TestSampleState:
 
 
 class TestEquivalence:
-    def test_fingerprint_matches_equivalence(self):
-        a = sample_running_state(1, seed=3)
-        b = sample_running_state(1, seed=3)
-        assert a.fingerprint() == b.fingerprint()
-
     def test_single_register_change_detected(self):
         a = sample_running_state(0, seed=5)
         b = sample_running_state(0, seed=5)
         b.gp["rip"] ^= 1
         assert not a.equivalent_to(b)
-        assert a.fingerprint() != b.fingerprint()
 
     def test_msr_change_detected(self):
         a = sample_running_state(0, seed=5)
