@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.availability import observed_availability_nines
+from ..analysis.recovery import recovery_success_rate
 from ..cluster.deployment import ProtectedFleet
 from ..cluster.planner import PlacementRequest, ReplicationPlanner
 from ..hardware.host import Host
@@ -412,8 +413,9 @@ class CampaignResult:
     @property
     def recovery_success_rate(self) -> float:
         """Fraction of microreboot attempts that restored the VM."""
-        attempts = self.total_recovery_attempts
-        return self.total_recoveries / attempts if attempts else math.nan
+        return recovery_success_rate(
+            self.total_recoveries, self.total_recovery_attempts
+        )
 
     @property
     def mean_recovery_blackout(self) -> float:

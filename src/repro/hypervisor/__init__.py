@@ -17,7 +17,7 @@ from .features import (
     incompatibilities,
 )
 from .kvm.hypervisor import KvmHypervisor
-from .registry import available_flavors, install, register
+from .registry import available_flavors, install
 from .xen.hypervisor import Dom0, XenHypervisor
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "compatible_featureset",
     "incompatibilities",
     "install",
-    "register",
 ]

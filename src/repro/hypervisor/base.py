@@ -26,6 +26,7 @@ from ..hardware.host import Host
 from ..vm.guest_agent import GuestAgent
 from ..vm.machine import VirtualMachine
 from .errors import GuestNotFound, HypervisorDown, IncompatibleGuest
+from .features import incompatibilities
 
 
 class HypervisorState(Enum):
@@ -35,6 +36,29 @@ class HypervisorState(Enum):
     CRASHED = "crashed"
     HUNG = "hung"
     STARVED = "starved"  # degraded but limping (resource-starvation DoS)
+
+
+def parse_vcpus(records, parse_record, cache: Optional[Dict]) -> List:
+    """Parse vCPU records, reusing prior parses of identical records.
+
+    Serialisers memoise records on the immutable vCPU states, so every
+    checkpoint of an unchanged guest presents the *same* record dicts.
+    ``cache`` maps ``id(record)`` to ``(record, state)``; the strong
+    reference pins the id against recycling.  ``cache=None`` parses
+    every record afresh.
+    """
+    if cache is None:
+        return [parse_record(record) for record in records]
+    vcpus = []
+    for record in records:
+        hit = cache.get(id(record))
+        if hit is not None and hit[0] is record:
+            vcpus.append(hit[1])
+        else:
+            state = parse_record(record)
+            cache[id(record)] = (record, state)
+            vcpus.append(state)
+    return vcpus
 
 
 class Hypervisor:
@@ -51,6 +75,9 @@ class Hypervisor:
     #: Device-model source shared with other products (e.g. "qemu") —
     #: sharing one means sharing its vulnerabilities (§8.2).
     device_model_lineage: str = "none"
+    #: The state-format module (``pack``/``unpack`` plus the record
+    #: converters) of this family's payload layout.
+    formats = None
 
     def __init__(self, sim, host: Host):
         self.sim = sim
@@ -80,26 +107,8 @@ class Hypervisor:
         self._outage_span = None
         #: Listeners notified as ``listener(hypervisor, state, reason)``.
         self._failure_listeners: List = []
-        #: ``id(record) -> (record, parsed state)`` reuse across guest
-        #: loads.  Serialisers memoise records on the immutable state
-        #: objects, so a steady checkpoint stream presents the same
-        #: record dicts every epoch; re-parsing them is pure waste.
-        #: The strong record reference pins the id against recycling.
+        #: Parsed-vCPU reuse across guest loads; see :func:`parse_vcpus`.
         self._vcpu_parse_cache: Dict[int, tuple] = {}
-
-    def parse_vcpu_records(self, records, parse_record) -> List:
-        """Parse vCPU records through the per-hypervisor identity cache."""
-        cache = self._vcpu_parse_cache
-        vcpus = []
-        for record in records:
-            hit = cache.get(id(record))
-            if hit is not None and hit[0] is record:
-                vcpus.append(hit[1])
-            else:
-                state = parse_record(record)
-                cache[id(record)] = (record, state)
-                vcpus.append(state)
-        return vcpus
 
     # -- feature surface ----------------------------------------------------
     def cpuid_features(self) -> FrozenSet[str]:
@@ -206,16 +215,45 @@ class Hypervisor:
         payload that only this hypervisor family can load directly —
         the state translator converts it for the other family.
         """
-        raise NotImplementedError
+        self._check_responsive()
+        codec = self.formats
+        return codec.pack(
+            [codec.vcpu_to_record(state) for state in vm.capture_vcpu_states()],
+            [codec.device_to_record(device) for device in vm.replicable_devices()],
+            vm.enabled_features,
+            vm.total_pages,
+        )
 
     def load_guest_state(self, vm: VirtualMachine, payload: dict) -> None:
-        """Load a payload produced by (or translated to) this format."""
-        raise NotImplementedError
+        """Load a payload produced by (or translated to) this format.
+
+        Loads the vCPUs and the feature set; the payload's device
+        records are not applied.
+        """
+        self._check_responsive()
+        codec = self.formats
+        if payload.get("format") != codec.FORMAT:
+            raise IncompatibleGuest(
+                f"{self.product} cannot load state format "
+                f"{payload.get('format')!r}; "
+                "run it through the state translator first"
+            )
+        vcpus, _devices, features, _pages = codec.unpack(payload)
+        missing = incompatibilities(features, self.cpuid_features())
+        if missing:
+            raise IncompatibleGuest(
+                f"guest uses features {self.product} cannot expose: "
+                f"{sorted(missing)}"
+            )
+        vm.vcpu_states = parse_vcpus(
+            vcpus, codec.record_to_vcpu, self._vcpu_parse_cache
+        )
+        vm.enabled_features = features
 
     @property
     def state_format(self) -> str:
         """Identifier of this hypervisor's serialisation format."""
-        raise NotImplementedError
+        return self.formats.FORMAT
 
     def activate_replica(self, vm: VirtualMachine):
         """Generator: start a replica VM shell after failover.

@@ -6,11 +6,15 @@ with the control registers and ``apic_base``), ``kvm_msrs`` (an entry
 array with an explicit count), ``kvm_lapic_state``, a clock record and
 the raw XSAVE blob.  Structurally unlike the Xen layout on purpose —
 see :mod:`repro.hypervisor.xen.formats`.
+
+This module is the only one that knows the KVM payload layout:
+:func:`pack`/:func:`unpack` frame a payload, the record converters
+map vCPUs and devices to and from it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, FrozenSet, List, Tuple
 
 from ...vm.devices import VirtualDevice
 from ...vm.vcpu import (
@@ -23,7 +27,7 @@ from ...vm.vcpu import (
 )
 
 #: Format identifier carried in every KVM payload.
-KVM_STATE_FORMAT = "kvm-kvmtool-v5"
+FORMAT = "kvm-kvmtool-v5"
 
 _SEGMENTS = ("cs", "ds", "es", "fs", "gs", "ss", "tr", "ldt")
 
@@ -164,19 +168,45 @@ def record_to_device_state(record: Dict) -> Dict:
     }
 
 
-def build_payload(
-    vcpu_states: List[VcpuArchState],
-    devices: List[VirtualDevice],
-    features: frozenset,
+def translated_device_record(device: Dict) -> Dict:
+    """The canonical ``virtio-<kind>`` PV record a translation writes.
+
+    Unlike :func:`device_to_record`, it has no real model, mode or
+    private ``_`` fields: the intermediate state does not carry them.
+    """
+    return {
+        "virtio_device": f"virtio-{device['kind']}",
+        "slot": device["instance"],
+        "class": device["kind"],
+        "transport": "pv",
+        "config_space": dict(device["fields"]),
+    }
+
+
+def pack(
+    vcpu_records: List[Dict],
+    device_records: List[Dict],
+    features: FrozenSet[str],
     memory_pages: int,
 ) -> Dict:
-    """Full KVM-format guest-state payload."""
+    """Frame vCPU and device records into a full KVM payload."""
     return {
-        "format": KVM_STATE_FORMAT,
-        "vcpu_records": [vcpu_to_record(state) for state in vcpu_states],
-        "virtio_devices": [device_to_record(device) for device in devices],
+        "format": FORMAT,
+        "vcpu_records": vcpu_records,
+        "virtio_devices": device_records,
         "machine": {
             "cpuid_features": sorted(features),
             "memory_pages": memory_pages,
         },
     }
+
+
+def unpack(payload: Dict) -> Tuple[List[Dict], List[Dict], FrozenSet[str], int]:
+    """``(vcpu_records, device_records, features, memory_pages)`` of a payload."""
+    machine = payload["machine"]
+    return (
+        payload["vcpu_records"],
+        payload["virtio_devices"],
+        frozenset(machine["cpuid_features"]),
+        machine["memory_pages"],
+    )

@@ -13,8 +13,7 @@ from typing import FrozenSet
 from ...hardware.host import Host
 from ...vm.machine import VirtualMachine
 from ..base import Hypervisor
-from ..errors import IncompatibleGuest
-from ..features import KVM_FEATURES, incompatibilities
+from ..features import KVM_FEATURES
 from . import formats
 from .kvmtool import KvmtoolUserspace
 
@@ -36,6 +35,7 @@ class KvmHypervisor(Hypervisor):
         "vhost",
     )
     device_model_lineage = "kvmtool"
+    formats = formats
 
     def __init__(self, sim, host: Host):
         super().__init__(sim, host)
@@ -57,35 +57,3 @@ class KvmHypervisor(Hypervisor):
         """Start a replica through kvmtool's fast activation path."""
         result = yield from self.userspace.activate_replica(vm)
         return result
-
-    # -- state extraction -------------------------------------------------------
-    @property
-    def state_format(self) -> str:
-        return formats.KVM_STATE_FORMAT
-
-    def extract_guest_state(self, vm: VirtualMachine) -> dict:
-        self._check_responsive()
-        return formats.build_payload(
-            vm.capture_vcpu_states(),
-            vm.replicable_devices(),
-            vm.enabled_features,
-            vm.total_pages,
-        )
-
-    def load_guest_state(self, vm: VirtualMachine, payload: dict) -> None:
-        self._check_responsive()
-        if payload.get("format") != formats.KVM_STATE_FORMAT:
-            raise IncompatibleGuest(
-                f"KVM cannot load state format {payload.get('format')!r}; "
-                "run it through the state translator first"
-            )
-        features = frozenset(payload["machine"]["cpuid_features"])
-        missing = incompatibilities(features, self.cpuid_features())
-        if missing:
-            raise IncompatibleGuest(
-                f"guest uses features KVM cannot expose: {sorted(missing)}"
-            )
-        vm.vcpu_states = self.parse_vcpu_records(
-            payload["vcpu_records"], formats.record_to_vcpu
-        )
-        vm.enabled_features = features

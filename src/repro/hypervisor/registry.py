@@ -14,18 +14,14 @@ from .base import Hypervisor
 from .kvm.hypervisor import KvmHypervisor
 from .xen.hypervisor import XenHypervisor
 
-_REGISTRY: Dict[str, Callable[..., Hypervisor]] = {}
-
-
-def register(flavor: str, factory: Callable[..., Hypervisor]) -> None:
-    """Register a hypervisor factory under ``flavor``."""
-    if flavor in _REGISTRY:
-        raise ValueError(f"flavor {flavor!r} already registered")
-    _REGISTRY[flavor] = factory
+_REGISTRY: Dict[str, Callable[..., Hypervisor]] = {
+    "xen": XenHypervisor,
+    "kvm": KvmHypervisor,
+}
 
 
 def available_flavors() -> List[str]:
-    """Registered flavor names, sorted."""
+    """Installable flavor names, sorted."""
     return sorted(_REGISTRY)
 
 
@@ -39,7 +35,3 @@ def install(flavor: str, sim, host: Host, **kwargs) -> Hypervisor:
             f"available: {available_flavors()}"
         ) from None
     return factory(sim, host, **kwargs)
-
-
-register("xen", XenHypervisor)
-register("kvm", KvmHypervisor)

@@ -8,13 +8,18 @@ context.  The point of keeping this faithfully different from the KVM
 layout (:mod:`repro.hypervisor.kvm.formats`) is that the state
 translator has real structural work to do, exactly as in the paper
 (§5.3, §7.4).
+
+This module is the only one that knows the Xen payload layout:
+:func:`pack`/:func:`unpack` frame a payload, the record converters
+map vCPUs and devices to and from it.  The hypervisor base class and
+the state translator compose these; neither names a payload key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, FrozenSet, List, Tuple
 
-from ...vm.devices import DeviceState, VirtualDevice
+from ...vm.devices import VirtualDevice
 from ...vm.vcpu import (
     CONTROL_REGISTERS,
     GP_REGISTERS,
@@ -25,7 +30,7 @@ from ...vm.vcpu import (
 )
 
 #: Format identifier carried in every Xen payload.
-XEN_STATE_FORMAT = "xen-hvm-context-4.12"
+FORMAT = "xen-hvm-context-4.12"
 
 #: Xen's ctrlreg[] array positions for each architectural register.
 _CTRLREG_SLOTS = {"cr0": 0, "cr2": 2, "cr3": 3, "cr4": 4, "cr8": 8}
@@ -170,19 +175,45 @@ def record_to_device_state(record: Dict) -> Dict:
     }
 
 
-def build_payload(
-    vcpu_states: List[VcpuArchState],
-    devices: List[VirtualDevice],
-    features: frozenset,
+def translated_device_record(device: Dict) -> Dict:
+    """The canonical ``xen-<kind>`` PV record a translation writes.
+
+    Unlike :func:`device_to_record`, it has no real model, mode or
+    private ``_`` fields: the intermediate state does not carry them.
+    """
+    return {
+        "backend": f"xen-{device['kind']}",
+        "devid": device["instance"],
+        "kind": device["kind"],
+        "mode": "pv",
+        "backend_state": dict(device["fields"]),
+    }
+
+
+def pack(
+    vcpu_records: List[Dict],
+    device_records: List[Dict],
+    features: FrozenSet[str],
     memory_pages: int,
 ) -> Dict:
-    """Full Xen-format guest-state payload."""
+    """Frame vCPU and device records into a full Xen payload."""
     return {
-        "format": XEN_STATE_FORMAT,
-        "hvm_context": [vcpu_to_record(state) for state in vcpu_states],
-        "device_records": [device_to_record(device) for device in devices],
+        "format": FORMAT,
+        "hvm_context": vcpu_records,
+        "device_records": device_records,
         "platform": {
             "featureset": sorted(features),
             "nr_pages": memory_pages,
         },
     }
+
+
+def unpack(payload: Dict) -> Tuple[List[Dict], List[Dict], FrozenSet[str], int]:
+    """``(vcpu_records, device_records, features, memory_pages)`` of a payload."""
+    platform = payload["platform"]
+    return (
+        payload["hvm_context"],
+        payload["device_records"],
+        frozenset(platform["featureset"]),
+        platform["nr_pages"],
+    )

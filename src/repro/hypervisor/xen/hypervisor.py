@@ -16,8 +16,7 @@ from ...hardware.host import Host
 from ...hardware.units import GIB
 from ...vm.machine import VirtualMachine
 from ..base import Hypervisor
-from ..errors import IncompatibleGuest
-from ..features import XEN_FEATURES, incompatibilities
+from ..features import XEN_FEATURES
 from . import formats
 from .toolstack import XlToolstack
 
@@ -54,6 +53,7 @@ class XenHypervisor(Hypervisor):
     #: lineage shared with QEMU-KVM, which is why HERE pairs Xen with
     #: kvmtool rather than QEMU on the KVM side (§8.2).
     device_model_lineage = "qemu"
+    formats = formats
 
     def __init__(self, sim, host: Host, here_patches: bool = True):
         super().__init__(sim, host)
@@ -94,35 +94,3 @@ class XenHypervisor(Hypervisor):
             )
             yield switch
         return vm
-
-    # -- state extraction -------------------------------------------------------
-    @property
-    def state_format(self) -> str:
-        return formats.XEN_STATE_FORMAT
-
-    def extract_guest_state(self, vm: VirtualMachine) -> dict:
-        self._check_responsive()
-        return formats.build_payload(
-            vm.capture_vcpu_states(),
-            vm.replicable_devices(),
-            vm.enabled_features,
-            vm.total_pages,
-        )
-
-    def load_guest_state(self, vm: VirtualMachine, payload: dict) -> None:
-        self._check_responsive()
-        if payload.get("format") != formats.XEN_STATE_FORMAT:
-            raise IncompatibleGuest(
-                f"Xen cannot load state format {payload.get('format')!r}; "
-                "run it through the state translator first"
-            )
-        features = frozenset(payload["platform"]["featureset"])
-        missing = incompatibilities(features, self.cpuid_features())
-        if missing:
-            raise IncompatibleGuest(
-                f"guest uses features Xen cannot expose: {sorted(missing)}"
-            )
-        vm.vcpu_states = self.parse_vcpu_records(
-            payload["hvm_context"], formats.record_to_vcpu
-        )
-        vm.enabled_features = features

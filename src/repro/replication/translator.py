@@ -4,7 +4,10 @@ Translation follows the heterogeneous-migration lineage the paper cites
 (Vagrant, HyperTP): parse the source hypervisor's serialisation format
 into a *common intermediate representation* (the architectural state of
 :mod:`repro.vm.vcpu` plus architectural device state), then rebuild the
-target hypervisor's format from it.  The translator also owns the
+target hypervisor's format from it.  The payload layouts live only in
+the two format codecs, :mod:`repro.hypervisor.xen.formats` and
+:mod:`repro.hypervisor.kvm.formats`; the translator composes their
+``unpack``/``pack`` and record converters.  It also owns the
 platform-compatibility step: masking the guest's CPUID feature set to
 the intersection both hypervisors can provide, so the guest can safely
 resume on either side.
@@ -13,9 +16,9 @@ resume on either side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..hypervisor.base import Hypervisor
+from ..hypervisor.base import Hypervisor, parse_vcpus
 from ..hypervisor.errors import IncompatibleGuest
 from ..hypervisor.features import compatible_featureset, incompatibilities
 from ..hypervisor.kvm import formats as kvm_formats
@@ -30,6 +33,20 @@ TRANSLATION_COST_PER_VCPU = 120e-6
 #: Cost of translating one device record.
 TRANSLATION_COST_PER_DEVICE = 40e-6
 
+#: Format id -> the codec module that owns that payload layout.
+_CODECS = {xen_formats.FORMAT: xen_formats, kvm_formats.FORMAT: kvm_formats}
+
+
+def _codec(format_id, role: str):
+    """The codec of ``format_id``; ``role`` names it in the error."""
+    try:
+        return _CODECS[format_id]
+    except KeyError:
+        raise KeyError(
+            f"unknown {role} format {format_id!r}; "
+            f"supported: {tuple(sorted(_CODECS))}"
+        ) from None
+
 
 @dataclass
 class IntermediateState:
@@ -41,135 +58,16 @@ class IntermediateState:
     memory_pages: int
 
 
-def _parse_vcpus(records, parse_record, cache) -> List[VcpuArchState]:
-    """Parse vCPU records, reusing prior parses of identical records.
-
-    Serialisers memoise vCPU records on the (immutable-after-boot)
-    state objects, so every checkpoint of an unchanged guest presents
-    the *same* record dicts.  The cache maps ``id(record)`` to the
-    parsed state, keeping a strong reference to the record so the id
-    cannot be recycled; a fresh record (changed guest, new VM) misses
-    and parses normally.
-    """
-    if cache is None:
-        return [parse_record(record) for record in records]
-    vcpus = []
-    for record in records:
-        hit = cache.get(id(record))
-        if hit is not None and hit[0] is record:
-            vcpus.append(hit[1])
-        else:
-            state = parse_record(record)
-            cache[id(record)] = (record, state)
-            vcpus.append(state)
-    return vcpus
-
-
-def _parse_xen(payload: dict, vcpu_cache=None) -> IntermediateState:
-    return IntermediateState(
-        vcpus=_parse_vcpus(
-            payload["hvm_context"], xen_formats.record_to_vcpu, vcpu_cache
-        ),
-        devices=[
-            xen_formats.record_to_device_state(r)
-            for r in payload["device_records"]
-        ],
-        features=frozenset(payload["platform"]["featureset"]),
-        memory_pages=payload["platform"]["nr_pages"],
-    )
-
-
-#: Opt-in marker: the parser accepts a second ``vcpu_cache`` argument.
-_parse_xen.supports_vcpu_cache = True  # type: ignore[attr-defined]
-
-
-def _build_xen(state: IntermediateState) -> dict:
-    return {
-        "format": xen_formats.XEN_STATE_FORMAT,
-        "hvm_context": [xen_formats.vcpu_to_record(v) for v in state.vcpus],
-        "device_records": [
-            {
-                "backend": f"xen-{device['kind']}",
-                "devid": device["instance"],
-                "kind": device["kind"],
-                "mode": "pv",
-                "backend_state": dict(device["fields"]),
-            }
-            for device in state.devices
-        ],
-        "platform": {
-            "featureset": sorted(state.features),
-            "nr_pages": state.memory_pages,
-        },
-    }
-
-
-def _parse_kvm(payload: dict, vcpu_cache=None) -> IntermediateState:
-    return IntermediateState(
-        vcpus=_parse_vcpus(
-            payload["vcpu_records"], kvm_formats.record_to_vcpu, vcpu_cache
-        ),
-        devices=[
-            kvm_formats.record_to_device_state(r)
-            for r in payload["virtio_devices"]
-        ],
-        features=frozenset(payload["machine"]["cpuid_features"]),
-        memory_pages=payload["machine"]["memory_pages"],
-    )
-
-
-_parse_kvm.supports_vcpu_cache = True  # type: ignore[attr-defined]
-
-
-def _build_kvm(state: IntermediateState) -> dict:
-    return {
-        "format": kvm_formats.KVM_STATE_FORMAT,
-        "vcpu_records": [kvm_formats.vcpu_to_record(v) for v in state.vcpus],
-        "virtio_devices": [
-            {
-                "virtio_device": f"virtio-{device['kind']}",
-                "slot": device["instance"],
-                "class": device["kind"],
-                "transport": "pv",
-                "config_space": dict(device["fields"]),
-            }
-            for device in state.devices
-        ],
-        "machine": {
-            "cpuid_features": sorted(state.features),
-            "memory_pages": state.memory_pages,
-        },
-    }
-
-
 class StateTranslator:
     """Converts guest-state payloads between hypervisor formats."""
 
     def __init__(self):
-        self._parsers: Dict[str, Callable[[dict], IntermediateState]] = {}
-        self._builders: Dict[str, Callable[[IntermediateState], dict]] = {}
-        self.register(xen_formats.XEN_STATE_FORMAT, _parse_xen, _build_xen)
-        self.register(kvm_formats.KVM_STATE_FORMAT, _parse_kvm, _build_kvm)
         self.translations_performed = 0
         #: Parsed-vCPU reuse across checkpoints of the same guest; see
-        #: :func:`_parse_vcpus`.  Per-translator, so it lives exactly
-        #: as long as the replication/migration engine that owns it.
+        #: :func:`~repro.hypervisor.base.parse_vcpus`.  Per-translator,
+        #: so it lives exactly as long as the replication/migration
+        #: engine that owns it.
         self._vcpu_cache: Dict[int, Tuple[dict, VcpuArchState]] = {}
-
-    def register(
-        self,
-        format_id: str,
-        parser: Callable[[dict], IntermediateState],
-        builder: Callable[[IntermediateState], dict],
-    ) -> None:
-        """Register a new hypervisor serialisation format."""
-        if format_id in self._parsers:
-            raise ValueError(f"format {format_id!r} already registered")
-        self._parsers[format_id] = parser
-        self._builders[format_id] = builder
-
-    def supported_formats(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._parsers))
 
     # -- feature compatibility ------------------------------------------------
     @staticmethod
@@ -202,25 +100,31 @@ class StateTranslator:
         point is to detect in-place rot that an identity-keyed cache hit
         would mask.
         """
-        source_format = payload.get("format")
-        if source_format not in self._parsers:
-            raise KeyError(
-                f"unknown source format {source_format!r}; "
-                f"supported: {self.supported_formats()}"
-            )
-        parser = self._parsers[source_format]
-        if use_cache and getattr(parser, "supports_vcpu_cache", False):
-            return parser(payload, self._vcpu_cache)
-        return parser(payload)
+        codec = _codec(payload.get("format"), "source")
+        return self._parse(codec, payload, self._vcpu_cache if use_cache else None)
+
+    @staticmethod
+    def _parse(codec, payload: dict, cache: Optional[Dict]) -> IntermediateState:
+        vcpus, devices, features, memory_pages = codec.unpack(payload)
+        return IntermediateState(
+            vcpus=parse_vcpus(vcpus, codec.record_to_vcpu, cache),
+            devices=[codec.record_to_device_state(r) for r in devices],
+            features=features,
+            memory_pages=memory_pages,
+        )
 
     def build(self, state: IntermediateState, format_id: str) -> dict:
         """Rebuild a payload in ``format_id`` from intermediate state."""
-        if format_id not in self._builders:
-            raise KeyError(
-                f"unknown target format {format_id!r}; "
-                f"supported: {self.supported_formats()}"
-            )
-        return self._builders[format_id](state)
+        return self._build(_codec(format_id, "target"), state)
+
+    @staticmethod
+    def _build(codec, state: IntermediateState) -> dict:
+        return codec.pack(
+            [codec.vcpu_to_record(v) for v in state.vcpus],
+            [codec.translated_device_record(d) for d in state.devices],
+            state.features,
+            state.memory_pages,
+        )
 
     def translate(self, payload: dict, target: Hypervisor) -> dict:
         """Translate ``payload`` into ``target``'s native format.
@@ -229,23 +133,9 @@ class StateTranslator:
         the target cannot expose (meaning ``prepare_guest`` was not
         applied).
         """
-        source_format = payload.get("format")
-        if source_format not in self._parsers:
-            raise KeyError(
-                f"unknown source format {source_format!r}; "
-                f"supported: {self.supported_formats()}"
-            )
-        target_format = target.state_format
-        if target_format not in self._builders:
-            raise KeyError(
-                f"unknown target format {target_format!r}; "
-                f"supported: {self.supported_formats()}"
-            )
-        parser = self._parsers[source_format]
-        if getattr(parser, "supports_vcpu_cache", False):
-            intermediate = parser(payload, self._vcpu_cache)
-        else:
-            intermediate = parser(payload)
+        source = _codec(payload.get("format"), "source")
+        codec = _codec(target.state_format, "target")
+        intermediate = self._parse(source, payload, self._vcpu_cache)
         missing = incompatibilities(intermediate.features, target.cpuid_features())
         if missing:
             raise IncompatibleGuest(
@@ -254,9 +144,9 @@ class StateTranslator:
                 "mask features before replication starts"
             )
         self.translations_performed += 1
-        if source_format == target_format:
+        if codec is source:
             return payload
-        return self._builders[target_format](intermediate)
+        return self._build(codec, intermediate)
 
     def translation_cost(self, vcpus: int, devices: int) -> float:
         """Simulated CPU time of one payload translation."""

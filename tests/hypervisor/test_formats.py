@@ -12,6 +12,37 @@ def states():
     return [sample_running_state(i, seed=21) for i in range(4)]
 
 
+def pack(codec, states, devices, features, memory_pages):
+    """A native payload: every vCPU and device through ``codec``."""
+    return codec.pack(
+        [codec.vcpu_to_record(state) for state in states],
+        [codec.device_to_record(device) for device in devices],
+        features,
+        memory_pages,
+    )
+
+
+@pytest.mark.parametrize("codec", [xen_formats, kvm_formats],
+                         ids=["xen", "kvm"])
+class TestPackUnpack:
+    def test_unpack_inverts_pack(self, codec, states):
+        flavor = "xen" if codec is xen_formats else "kvm"
+        vcpus = [codec.vcpu_to_record(state) for state in states]
+        devices = [
+            codec.device_to_record(device)
+            for device in standard_pv_devices(flavor)
+        ]
+        features = frozenset({"sse2", "avx", "aes"})
+        payload = codec.pack(vcpus, devices, features, 4096)
+        assert payload["format"] == codec.FORMAT
+        assert codec.unpack(payload) == (vcpus, devices, features, 4096)
+
+    def test_translated_device_record_round_trips(self, codec):
+        device = {"kind": "network", "instance": 0, "fields": {"mac": "m"}}
+        record = codec.translated_device_record(device)
+        assert codec.record_to_device_state(record) == device
+
+
 class TestXenRoundTrip:
     def test_vcpu_round_trip_is_lossless(self, states):
         for state in states:
@@ -44,12 +75,12 @@ class TestXenRoundTrip:
         assert arch["fields"]["mac"] == device.state.fields["mac"]
 
     def test_payload_structure(self, states):
-        payload = xen_formats.build_payload(
-            states, standard_pv_devices("xen"), frozenset({"sse2"}), 1000
-        )
-        assert payload["format"] == xen_formats.XEN_STATE_FORMAT
+        payload = pack(xen_formats, states, standard_pv_devices("xen"),
+                       frozenset({"sse2"}), 1000)
+        assert payload["format"] == xen_formats.FORMAT
         assert len(payload["hvm_context"]) == 4
         assert payload["platform"]["nr_pages"] == 1000
+        assert payload["platform"]["featureset"] == ["sse2"]
 
 
 class TestKvmRoundTrip:
@@ -84,12 +115,10 @@ class TestStructuralDifference:
     is what the state translator exists to bridge."""
 
     def test_top_level_keys_differ(self, states):
-        xen_payload = xen_formats.build_payload(
-            states, standard_pv_devices("xen"), frozenset(), 10
-        )
-        kvm_payload = kvm_formats.build_payload(
-            states, standard_pv_devices("kvm"), frozenset(), 10
-        )
+        xen_payload = pack(xen_formats, states, standard_pv_devices("xen"),
+                           frozenset(), 10)
+        kvm_payload = pack(kvm_formats, states, standard_pv_devices("kvm"),
+                           frozenset(), 10)
         xen_keys = set(xen_payload) - {"format"}
         kvm_keys = set(kvm_payload) - {"format"}
         assert xen_keys.isdisjoint(kvm_keys)

@@ -1,5 +1,7 @@
 """The state translator: Xen <-> KVM payload conversion."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hardware import GIB, build_testbed
@@ -122,20 +124,91 @@ class TestCosts:
             translator.translation_cost(-1, 0)
 
 
-class TestExtensibility:
-    def test_register_new_format(self, env, translator):
-        _sim, xen, _kvm = env
+def _xen_guest(env):
+    _sim, xen, kvm = env
+    vm = xen.create_vm("g", vcpus=2, memory_bytes=GIB)
+    StateTranslator.prepare_guest(vm, xen, kvm)
+    return xen.extract_guest_state(vm)
 
-        def parse(payload):
-            raise NotImplementedError
 
-        def build(state):
-            raise NotImplementedError
+def _unknown_target(env, translator):
+    target = SimpleNamespace(state_format="vmware-vmss")
+    translator.translate(_xen_guest(env), target)
 
-        translator.register("esxi-vmss-v1", parse, build)
-        assert "esxi-vmss-v1" in translator.supported_formats()
-        with pytest.raises(ValueError):
-            translator.register("esxi-vmss-v1", parse, build)
+
+def _load_foreign_format(flavor):
+    def case(env, _translator):
+        _sim, xen, kvm = env
+        loader, other = (xen, kvm) if flavor == "xen" else (kvm, xen)
+        foreign = other.extract_guest_state(
+            other.create_vm("src", vcpus=1, memory_bytes=GIB)
+        )
+        loader.load_guest_state(
+            loader.create_vm("dst", vcpus=1, memory_bytes=GIB), foreign
+        )
+    return case
+
+
+def _load_unexposable_feature(flavor):
+    def case(env, _translator):
+        _sim, xen, kvm = env
+        loader, other = (xen, kvm) if flavor == "xen" else (kvm, xen)
+        vm = loader.create_vm("g", vcpus=1, memory_bytes=GIB)
+        codec = loader.formats
+        vcpus, devices, features, pages = codec.unpack(
+            loader.extract_guest_state(vm)
+        )
+        alien = other.cpuid_features() - loader.cpuid_features()
+        assert alien
+        loader.load_guest_state(
+            vm, codec.pack(vcpus, devices, features | alien, pages)
+        )
+    return case
+
+
+ERROR_CASES = {
+    "parse-unknown-format": (
+        KeyError,
+        lambda env, t: t.parse({"format": "vmware-vmss"}),
+    ),
+    "parse-unknown-format-uncached": (
+        KeyError,
+        lambda env, t: t.parse({"format": "vmware-vmss"}, use_cache=False),
+    ),
+    "build-unknown-format": (
+        KeyError,
+        lambda env, t: t.build(t.parse(_xen_guest(env)), "vmware-vmss"),
+    ),
+    "translate-unknown-source": (
+        KeyError,
+        lambda env, t: t.translate({"format": "vmware-vmss"}, env[2]),
+    ),
+    "translate-unknown-target": (KeyError, _unknown_target),
+    "xen-load-foreign-format": (IncompatibleGuest, _load_foreign_format("xen")),
+    "kvm-load-foreign-format": (IncompatibleGuest, _load_foreign_format("kvm")),
+    "xen-load-unexposable-feature": (
+        IncompatibleGuest, _load_unexposable_feature("xen"),
+    ),
+    "kvm-load-unexposable-feature": (
+        IncompatibleGuest, _load_unexposable_feature("kvm"),
+    ),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_error_paths(self, case, env, translator):
+        """Unknown format ids raise ``KeyError`` naming both supported
+        formats; a hypervisor refuses a foreign payload or one whose
+        features it cannot expose."""
+        error, call = ERROR_CASES[case]
+        with pytest.raises(error) as raised:
+            call(env, translator)
+        if error is KeyError:
+            message = str(raised.value)
+            assert "vmware-vmss" in message
+            assert "kvm-kvmtool-v5" in message
+            assert "xen-hvm-context-4.12" in message
 
 
 class TestFeaturesetHelpers:
