@@ -17,7 +17,10 @@ both sides of the integrity game:
 * **auditor** — :meth:`audit` recomputes the semantic root from the
   replica's post-translation committed payload and compares it to the
   attestation the primary shipped (the background scrubber calls this
-  on its bandwidth budget; detection feeds the repair ladder).
+  on its bandwidth budget; detection feeds the repair ladder).  A clean
+  verdict is memoised per write version of the replica's committed
+  state, so re-auditing an unchanged replica skips the re-parse and
+  re-hash while still returning the bytes the scrubber charges.
 """
 
 from __future__ import annotations
@@ -107,8 +110,10 @@ class IntegrityMonitor:
         self.engine = engine
         self.config = config
         self.events: List[CorruptionEvent] = []
-        self.audits = 0
         self._drift_armed = False
+        #: ``(session, session.version)`` of the last clean audit: an
+        #: unchanged committed state cannot have started mismatching.
+        self._clean_key: Optional[Tuple[object, int]] = None
 
     # -- plumbing ------------------------------------------------------------
     @property
@@ -266,10 +271,17 @@ class IntegrityMonitor:
         memory leaf back in, and compares roots.  A mismatch (or an
         unparseable payload) marks every open corruption detected; a
         clean root closes events a later epoch silently displaced.
+
+        A clean verdict is memoised per ``(session, session.version)``:
+        every write to the committed payload or attestation goes through
+        ``ReplicaSession.apply`` or ``overwrite_payload``, which bump the
+        version, so an audit of an unchanged version skips the re-parse
+        and re-hash.  Only host work is skipped — the audited bytes are
+        returned (and charged by the scrubber) on every pass, and the
+        verdict handling below runs as before.
         """
         from ..migration.engine import state_payload_bytes
 
-        self.audits += 1
         session = self.session
         if session is None:
             return 0, []
@@ -278,14 +290,18 @@ class IntegrityMonitor:
         if attestation is None or payload is None:
             return 0, []
         audited = state_payload_bytes(attestation.vcpus, attestation.devices)
-        try:
-            state = self.engine.translator.parse(payload, use_cache=False)
-            clean = (
-                semantic_root(state, attestation.memory_leaf)
-                == attestation.root
-            )
-        except (KeyError, TypeError, ValueError, IndexError):
-            clean = False
+        key = (session, session.version)
+        clean = key == self._clean_key
+        if not clean:
+            try:
+                state = self.engine.translator.parse(payload, use_cache=False)
+                clean = (
+                    semantic_root(state, attestation.memory_leaf)
+                    == attestation.root
+                )
+            except (KeyError, TypeError, ValueError, IndexError):
+                clean = False
+            self._clean_key = key if clean else None
         now = self.sim.now
         if clean:
             for event in self.events:

@@ -7,8 +7,11 @@ semantic root from the replica's committed post-translation state, and
 compares it to the attestation the primary shipped.  Audit traffic is
 priced against ``scrub_bandwidth`` so scrubbing is never free, and
 every detection records its latency (injection → audit) — the number
-the latent-corruption-window analysis is built on.  On detection the
-scrubber immediately walks the repair ladder (see
+the latent-corruption-window analysis is built on.  The charge is made
+on every pass, including passes where the monitor reuses the clean
+verdict of an unchanged committed state: that memo saves host work,
+never simulated time.  On detection the scrubber immediately walks the
+repair ladder (see
 :class:`~repro.integrity.repair.IntegrityRepairController`) inside its
 own process, so repair time delays the next audit exactly as a real
 single-budget scrubber would be delayed.

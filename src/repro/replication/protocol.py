@@ -106,8 +106,12 @@ class ReplicaSession:
         #: Application log for diagnostics: (time, epoch, dirty_pages).
         self.apply_log: List = []
         self._last_payload: Optional[dict] = None
-        #: Attestation shipped with the last committed epoch (integrity).
-        self.last_attestation: Optional[object] = None
+        self._last_attestation: Optional[object] = None
+        #: Write version of the committed state: bumped by :meth:`apply`
+        #: (and so :meth:`commit`) and :meth:`overwrite_payload`, the
+        #: only writers of the payload and attestation.  The integrity
+        #: auditor memoises its clean verdict per version.
+        self.version = 0
         #: Set by the integrity scrubber on a digest mismatch; cleared
         #: when repair restores the committed state.  The failover
         #: controller refuses to promote a suspected replica.
@@ -174,7 +178,8 @@ class ReplicaSession:
         self.checkpoints_applied += 1
         self.bytes_received += message.memory_bytes
         self._last_payload = message.state_payload
-        self.last_attestation = message.attestation
+        self._last_attestation = message.attestation
+        self.version += 1
         self.apply_log.append(
             (self.hypervisor.sim.now, message.epoch, message.dirty_pages)
         )
@@ -314,6 +319,11 @@ class ReplicaSession:
     def last_payload(self) -> Optional[dict]:
         return self._last_payload
 
+    @property
+    def last_attestation(self) -> Optional[object]:
+        """Attestation shipped with the last committed epoch (integrity)."""
+        return self._last_attestation
+
     def overwrite_payload(self, payload: dict) -> None:
         """Replace the committed state in place (same epoch).
 
@@ -325,3 +335,4 @@ class ReplicaSession:
         """
         self.hypervisor.load_guest_state(self.replica, payload)
         self._last_payload = payload
+        self.version += 1
