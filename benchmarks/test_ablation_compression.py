@@ -19,7 +19,7 @@ import pytest
 from repro.analysis import render_table
 from repro.hardware import GIB, Host, LinkPair, MemorySpec, custom_nic
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import XBRLE, here_config, here_controller
+from repro.replication import XBRLE, EngineRecipe
 from repro.replication.engine import ReplicationEngine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
@@ -41,7 +41,7 @@ def run_one(link_gbits, compression):
     vm = xen.create_vm("vm", vcpus=4, memory_bytes=2 * GIB)
     vm.start()
     MemoryMicrobenchmark(sim, vm, load=0.4).start()
-    config = here_config(here_controller(0.0, t_max=4.0))
+    config = EngineRecipe(target_degradation=0.0, t_max=4.0).config()
     config.compression = compression
     engine = ReplicationEngine(sim, xen, kvm, link, config)
     engine.start("vm")

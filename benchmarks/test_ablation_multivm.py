@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import render_table
 from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import here_engine
+from repro.replication import EngineRecipe, here_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -36,7 +36,8 @@ def run_fleet(n_vms):
         ).start()
         engine = here_engine(
             sim, xen, kvm, testbed.interconnect,
-            target_degradation=0.0, t_max=4.0, name=f"here-{index}",
+            EngineRecipe(target_degradation=0.0, t_max=4.0),
+            name=f"here-{index}",
         )
         engine.start(name)
         engines.append(engine)

@@ -20,7 +20,7 @@ from repro.analysis import render_table
 from repro.hardware import GIB, Link, build_testbed, ethernet_x710
 from repro.hypervisor import KvmHypervisor, XenHypervisor
 from repro.net import ServiceConnection, open_loop_client
-from repro.replication import ColoEngine, here_engine, remus_engine
+from repro.replication import ColoEngine, EngineRecipe, here_engine, remus_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -47,7 +47,10 @@ def run_system(kind):
     elif kind == "here":
         engine = here_engine(
             sim, xen, secondary, testbed.interconnect,
-            target_degradation=0.3, t_max=5.0, sigma=0.1, initial_period=0.5,
+            EngineRecipe(
+                target_degradation=0.3, t_max=5.0, sigma=0.1,
+                initial_period=0.5,
+            ),
         )
     else:
         engine = ColoEngine(

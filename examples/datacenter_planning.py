@@ -20,7 +20,12 @@ from repro.analysis import (
 from repro.cluster import PlacementRequest, ReplicationPlanner
 from repro.hardware import GIB, Host, LinkPair, MemorySpec, omnipath_hfi100
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import FailoverController, HeartbeatMonitor, here_engine
+from repro.replication import (
+    EngineRecipe,
+    FailoverController,
+    HeartbeatMonitor,
+    here_engine,
+)
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -69,11 +74,12 @@ def main() -> None:
     secondary = plan.secondary_of(target)
     MemoryMicrobenchmark(sim, xen.get_vm(target), load=0.3).start()
     link = LinkPair(sim, omnipath_hfi100())
-    engine = here_engine(
-        sim, xen, secondary, link,
+    # The (D, T_max, sigma) surface, written once: every other pairing
+    # in the plan would be brought up from this same recipe.
+    recipe = EngineRecipe(
         target_degradation=0.3, t_max=10.0, sigma=0.5, initial_period=1.0,
-        name=f"here-{target}",
     )
+    engine = here_engine(sim, xen, secondary, link, recipe, name=f"here-{target}")
     engine.start(target)
     sim.run_until_triggered(engine.ready)
     monitor = HeartbeatMonitor(sim, xen.host, xen, link)

@@ -35,7 +35,7 @@ Packages:
 """
 
 from .cluster import DeploymentSpec, ProtectedDeployment, unprotected_baseline
-from .replication import here_engine, remus_engine
+from .replication import EngineRecipe, here_engine, remus_engine
 from .simkernel import Simulation
 from .telemetry import MetricsAggregator, Recorder, TraceWriter, recorder_from_trace
 
@@ -43,6 +43,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DeploymentSpec",
+    "EngineRecipe",
     "MetricsAggregator",
     "ProtectedDeployment",
     "Recorder",

@@ -4,7 +4,6 @@ from .deployment import (
     DeploymentSpec,
     ProtectedDeployment,
     ProtectedFleet,
-    engines_from_plan,
     unprotected_baseline,
 )
 from .facade import DomainSpec, VirtConnection, VirtManager
@@ -41,6 +40,5 @@ __all__ = [
     "Topology",
     "VirtConnection",
     "VirtManager",
-    "engines_from_plan",
     "unprotected_baseline",
 ]

@@ -27,7 +27,7 @@ from ..replication.colo import ColoEngine, colo_engine
 from ..replication.engine import ReplicationEngine
 from ..replication.failover import FailoverController
 from ..replication.heartbeat import HeartbeatMonitor
-from ..replication.here import here_engine
+from ..replication.here import EngineRecipe, here_engine
 from ..replication.remus import remus_engine
 from ..replication.transport import TransportConfig
 from ..simkernel.core import Simulation
@@ -140,11 +140,7 @@ class ProtectedDeployment:
                 cost_model=spec.cost_model,
             )
         else:
-            self.engine = here_engine(
-                self.sim,
-                self.primary,
-                self.secondary,
-                self.testbed.interconnect,
+            recipe = EngineRecipe(
                 target_degradation=spec.target_degradation,
                 t_max=spec.period,
                 sigma=spec.sigma,
@@ -153,6 +149,13 @@ class ProtectedDeployment:
                 cost_model=spec.cost_model,
                 transport=spec.transport,
                 integrity=spec.integrity,
+            )
+            self.engine = here_engine(
+                self.sim,
+                self.primary,
+                self.secondary,
+                self.testbed.interconnect,
+                recipe,
             )
         self.monitor = HeartbeatMonitor(
             self.sim,
@@ -251,85 +254,42 @@ def unprotected_baseline(
     return deployment
 
 
-def engines_from_plan(
-    sim,
-    plan: PlanResult,
-    target_degradation: float = 0.3,
-    t_max: float = 5.0,
-    sigma: float = 0.25,
-    checkpoint_threads: int = 4,
-    transport: Optional[TransportConfig] = None,
-    integrity: Optional[IntegrityConfig] = None,
-) -> Tuple[Dict[str, ReplicationEngine], Dict[Tuple[str, str], LinkPair]]:
-    """Instantiate one HERE engine per planned placement.
-
-    All placements of one (primary host, secondary host) pair share a
-    single :class:`LinkPair` over the primary's interconnect NIC — N
-    checkpoint pipelines contending for the same wire, which is exactly
-    the fleet situation the ablation suite measures.  Returns
-    ``(engines by VM name, shared links by host pair)``.
-    """
-    links: Dict[Tuple[str, str], LinkPair] = {}
-    engines: Dict[str, ReplicationEngine] = {}
-    for pair, placements in plan.by_host_pair().items():
-        primary = placements[0].primary
-        link = LinkPair(
-            sim, primary.host.interconnect, name=f"{pair[0]}->{pair[1]}"
-        )
-        links[pair] = link
-        for placement in placements:
-            engines[placement.vm_name] = here_engine(
-                sim,
-                placement.primary,
-                placement.secondary,
-                link,
-                target_degradation=target_degradation,
-                t_max=t_max,
-                sigma=sigma,
-                checkpoint_threads=checkpoint_threads,
-                name=f"here:{placement.vm_name}",
-                transport=transport,
-                integrity=integrity,
-            )
-    return engines, links
-
-
 class ProtectedFleet:
     """A planned fleet of replication pipelines over shared interconnects.
 
     Where :class:`ProtectedDeployment` assembles the paper's two-host
     testbed, this takes a :class:`~repro.cluster.planner.PlanResult`
-    over an arbitrary fleet and stands up one
-    :class:`~repro.replication.pipeline.CheckpointPipeline`-backed
-    engine per placed VM, with every co-located pair sharing its host
-    pair's interconnect link.
+    over an arbitrary fleet and stands up one HERE engine per placed VM
+    from ``recipe``.  All placements of one (primary host, secondary
+    host) pair share a single :class:`LinkPair` over the primary's
+    interconnect NIC — N checkpoint pipelines contending for the same
+    wire, which is exactly the fleet situation the ablation suite
+    measures.
     """
 
-    def __init__(
-        self,
-        sim,
-        plan: PlanResult,
-        target_degradation: float = 0.3,
-        t_max: float = 5.0,
-        sigma: float = 0.25,
-        checkpoint_threads: int = 4,
-        transport: Optional[TransportConfig] = None,
-        integrity: Optional[IntegrityConfig] = None,
-    ):
+    def __init__(self, sim, plan: PlanResult, recipe: EngineRecipe):
         if not plan.placements:
             raise ValueError("the plan has no placements to deploy")
         self.sim = sim
         self.plan = plan
-        self.engines, self.links = engines_from_plan(
-            sim,
-            plan,
-            target_degradation=target_degradation,
-            t_max=t_max,
-            sigma=sigma,
-            checkpoint_threads=checkpoint_threads,
-            transport=transport,
-            integrity=integrity,
-        )
+        self.links: Dict[Tuple[str, str], LinkPair] = {}
+        self.engines: Dict[str, ReplicationEngine] = {}
+        for pair, placements in plan.by_host_pair().items():
+            link = LinkPair(
+                sim,
+                placements[0].primary.host.interconnect,
+                name=f"{pair[0]}->{pair[1]}",
+            )
+            self.links[pair] = link
+            for placement in placements:
+                self.engines[placement.vm_name] = here_engine(
+                    sim,
+                    placement.primary,
+                    placement.secondary,
+                    link,
+                    recipe,
+                    name=f"here:{placement.vm_name}",
+                )
 
     def start_protection(self, wait_ready: bool = True) -> None:
         """Start every engine; optionally run all seedings to completion."""
@@ -340,14 +300,6 @@ class ProtectedFleet:
                 self.sim.all_of([e.ready for e in self.engines.values()])
             )
 
-    def run_for(self, duration: float) -> None:
-        self.sim.run(until=self.sim.now + duration)
-
     def halt(self, reason: str = "fleet halted") -> None:
         for engine in self.engines.values():
             engine.halt(reason)
-
-    @property
-    def stats(self) -> Dict[str, object]:
-        """Per-VM :class:`ReplicationStats`, keyed by VM name."""
-        return {name: e.stats for name, e in self.engines.items()}

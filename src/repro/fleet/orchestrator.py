@@ -30,7 +30,7 @@ regardless of host machine or wall-clock conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.fleetplan import FleetConstraints, FleetPlanner, Topology
@@ -43,7 +43,7 @@ from ..hypervisor import registry
 from ..hypervisor.base import Hypervisor
 from ..recovery import MicrorebootEngine, RecoveryPolicy
 from ..replication.engine import ReplicationEngine
-from ..replication.here import here_engine
+from ..replication.here import EngineRecipe, here_engine
 from ..simkernel.core import Simulation
 from ..simkernel.random import derive_seed
 from ..simkernel.sharded import ShardedSimulation
@@ -103,6 +103,13 @@ class FleetOrchestrator:
 
     def __init__(self, spec: FleetSpec):
         self.spec = spec
+        #: What every seed and re-seed builds its HERE engine from.
+        self.recipe = EngineRecipe(
+            target_degradation=spec.target_degradation,
+            t_max=spec.t_max,
+            checkpoint_threads=spec.checkpoint_threads,
+            integrity=spec.integrity,
+        )
         # -- planning model (state only, never advanced) --------------------
         self.planning_sim = Simulation(seed=derive_seed(spec.seed, "plan"))
         self.topology = Topology()
@@ -227,11 +234,8 @@ class FleetOrchestrator:
                 shard.primary,
                 shard.secondary,
                 shard.link,
-                target_degradation=self.spec.target_degradation,
-                t_max=self.spec.t_max,
-                checkpoint_threads=self.spec.checkpoint_threads,
+                self.recipe,
                 name=f"here:{placement.vm_name}",
-                integrity=self.spec.integrity,
             )
 
     # -- lifecycle -----------------------------------------------------------
@@ -508,16 +512,14 @@ class FleetOrchestrator:
             new_primary.host.interconnect,
             name=f"reseed:{request.vm_name}",
         )
+        recipe = replace(self.recipe, t_max=self.recipe.t_max * self.period_scale)
         engine = here_engine(
             shard.sim,
             new_primary,
             spare,
             link,
-            target_degradation=self.spec.target_degradation,
-            t_max=self.spec.t_max * self.period_scale,
-            checkpoint_threads=self.spec.checkpoint_threads,
+            recipe,
             name=f"reseed:{request.vm_name}",
-            integrity=self.spec.integrity,
         )
         engine.start(request.vm_name)
         shard.reseed_engines[request.vm_name] = engine

@@ -111,7 +111,6 @@ class ReplicationEngine:
         translator: Optional[StateTranslator] = None,
         cost_model: Optional[TransferCostModel] = None,
         name: str = "asr",
-        generation: int = 0,
     ):
         self.sim = sim
         self.primary = primary
@@ -144,7 +143,7 @@ class ReplicationEngine:
         self._epoch = 0
         #: Primary generation stamped on every wire message; a failover
         #: bumps the replica's fence past it, fencing this engine out.
-        self.generation = generation
+        self.generation = 0
         #: Reliable transport instance (populated by start() when the
         #: config carries a TransportConfig).
         self.transport: Optional[CheckpointTransport] = None

@@ -11,6 +11,7 @@ checkpoint period manager of Algorithm 1 (§5.4, §7.5).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 from ..hardware.link import LinkPair
@@ -27,45 +28,61 @@ from .translator import StateTranslator
 DEFAULT_CHECKPOINT_THREADS = 4
 
 
-def here_controller(
-    target_degradation: float,
-    t_max: float = math.inf,
-    sigma: float = 0.25,
-    initial_period=None,
-) -> PeriodController:
-    """The paper's (D, T_max) configuration surface (Table 6).
+@dataclass(frozen=True)
+class EngineRecipe:
+    """Everything that configures one HERE engine, written once.
+
+    The paper's (D, T_max, σ) surface (Table 6) plus this repo's
+    checkpoint threads, cost model, hardened transport and integrity
+    overlay.  Every site that builds a HERE engine — a deployment, a
+    fleet, a chaos or fleet re-seed — builds it from a recipe, so a
+    re-seed that wants a different knob says so with
+    ``dataclasses.replace`` and cannot silently drop the others.
 
     ``target_degradation = 0`` enforces ``T = T_max`` (the fixed-period
     configurations such as HERE(3Sec, 0 %)); any positive target enables
     Algorithm 1.
     """
-    if target_degradation == 0.0:
-        if not math.isfinite(t_max):
+
+    target_degradation: float
+    t_max: float
+    sigma: float = 0.25
+    #: Optional override of Algorithm 1's initial T = T_max (see
+    #: DynamicPeriodController.__init__).
+    initial_period: Optional[float] = None
+    checkpoint_threads: int = DEFAULT_CHECKPOINT_THREADS
+    #: None uses the primary host's cost model.
+    cost_model: Optional[TransferCostModel] = None
+    #: Hardened transport; None keeps the classic protocol.
+    transport: Optional[TransportConfig] = None
+    #: Integrity overlay; None computes no digests.
+    integrity: Optional[IntegrityConfig] = None
+
+    def __post_init__(self):
+        if self.target_degradation == 0.0 and not math.isfinite(self.t_max):
             raise ValueError("D=0% requires a finite T_max (T is pinned to it)")
-        return FixedPeriodController(t_max)
-    return DynamicPeriodController(
-        target_degradation=target_degradation,
-        t_max=t_max,
-        sigma=sigma,
-        initial_period=initial_period,
-    )
 
+    def controller(self) -> PeriodController:
+        """A fresh period controller (controllers carry per-engine state)."""
+        if self.target_degradation == 0.0:
+            return FixedPeriodController(self.t_max)
+        return DynamicPeriodController(
+            target_degradation=self.target_degradation,
+            t_max=self.t_max,
+            sigma=self.sigma,
+            initial_period=self.initial_period,
+        )
 
-def here_config(
-    controller: PeriodController,
-    checkpoint_threads: int = DEFAULT_CHECKPOINT_THREADS,
-    transport: Optional[TransportConfig] = None,
-    integrity: Optional[IntegrityConfig] = None,
-) -> ReplicationConfig:
-    """HERE parameters with the given period controller."""
-    return ReplicationConfig(
-        controller=controller,
-        checkpoint_threads=checkpoint_threads,
-        chunked_transfer=True,
-        per_vcpu_seeding=True,
-        transport=transport,
-        integrity=integrity,
-    )
+    def config(self) -> ReplicationConfig:
+        """HERE's replication config, with a fresh period controller."""
+        return ReplicationConfig(
+            controller=self.controller(),
+            checkpoint_threads=self.checkpoint_threads,
+            chunked_transfer=True,
+            per_vcpu_seeding=True,
+            transport=self.transport,
+            integrity=self.integrity,
+        )
 
 
 def here_engine(
@@ -73,43 +90,21 @@ def here_engine(
     primary: Hypervisor,
     secondary: Hypervisor,
     link: LinkPair,
-    target_degradation: float = 0.3,
-    t_max: float = math.inf,
-    sigma: float = 0.25,
-    initial_period=None,
-    checkpoint_threads: int = DEFAULT_CHECKPOINT_THREADS,
-    controller: Optional[PeriodController] = None,
-    cost_model: Optional[TransferCostModel] = None,
-    translator: Optional[StateTranslator] = None,
+    recipe: EngineRecipe,
     name: str = "here",
-    transport: Optional[TransportConfig] = None,
-    integrity: Optional[IntegrityConfig] = None,
-    generation: int = 0,
 ) -> ReplicationEngine:
-    """A HERE replication engine.
-
-    Parameters mirror the paper's configuration surface: the desired
-    degradation ``D`` (soft), the maximum checkpoint interval ``T_max``
-    (hard), and the adjustment step ``σ``.  Pass an explicit
-    ``controller`` to override the (D, T_max) surface entirely.
+    """A HERE replication engine built from ``recipe``.
 
     Unlike Remus, the two hypervisors may — and in the intended
     deployment do — differ; every checkpoint payload is translated.
     """
-    chosen = controller or here_controller(
-        target_degradation, t_max, sigma, initial_period
-    )
     return ReplicationEngine(
         sim,
         primary,
         secondary,
         link,
-        here_config(
-            chosen, checkpoint_threads,
-            transport=transport, integrity=integrity,
-        ),
-        translator=translator or StateTranslator(),
-        cost_model=cost_model,
+        recipe.config(),
+        translator=StateTranslator(),
+        cost_model=recipe.cost_model,
         name=name,
-        generation=generation,
     )

@@ -11,6 +11,7 @@ from repro.cluster import (
     unprotected_baseline,
 )
 from repro.hardware import GIB, build_testbed
+from repro.replication import EngineRecipe
 from repro.security import FailureSource
 from repro.simkernel import Simulation
 
@@ -135,7 +136,9 @@ class TestProtectedFleet:
             requests.append(PlacementRequest(f"vm-{index}", xen, GIB))
         plan = ReplicationPlanner([xen] + kvms).plan(requests)
         assert plan.fully_placed
-        fleet = ProtectedFleet(sim, plan, t_max=2.0, target_degradation=0.0)
+        fleet = ProtectedFleet(
+            sim, plan, EngineRecipe(target_degradation=0.0, t_max=2.0)
+        )
         return sim, plan, fleet
 
     def test_one_engine_per_placement_sharing_pair_links(self):
@@ -152,9 +155,9 @@ class TestProtectedFleet:
     def test_fleet_replicates_all_vms(self):
         sim, _plan, fleet = self.make_planned_fleet()
         fleet.start_protection()
-        fleet.run_for(8.0)
-        for vm_name, stats in fleet.stats.items():
-            assert stats.checkpoint_count >= 2, vm_name
+        sim.run(until=sim.now + 8.0)
+        for vm_name, engine in fleet.engines.items():
+            assert engine.stats.checkpoint_count >= 2, vm_name
         fleet.halt("test over")
         sim.run(until=sim.now + 1.0)
         assert all(not e.is_active for e in fleet.engines.values())
@@ -170,7 +173,11 @@ class TestProtectedFleet:
         from repro.cluster import PlanResult, ProtectedFleet
 
         with pytest.raises(ValueError):
-            ProtectedFleet(Simulation(seed=0), PlanResult())
+            ProtectedFleet(
+                Simulation(seed=0),
+                PlanResult(),
+                EngineRecipe(target_degradation=0.0, t_max=2.0),
+            )
 
 
 class TestVirtManager:

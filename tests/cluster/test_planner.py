@@ -135,7 +135,7 @@ class TestPlanning:
         """A planned pairing actually replicates."""
         sim, hypervisors = fleet
         from repro.hardware import LinkPair, omnipath_hfi100
-        from repro.replication import here_engine
+        from repro.replication import EngineRecipe, here_engine
 
         xen = hypervisors[0]
         vm = xen.create_vm("svc", vcpus=2, memory_bytes=GIB)
@@ -146,7 +146,7 @@ class TestPlanning:
         link = LinkPair(sim, omnipath_hfi100())
         engine = here_engine(
             sim, xen, secondary, link,
-            target_degradation=0.0, t_max=2.0,
+            EngineRecipe(target_degradation=0.0, t_max=2.0),
         )
         engine.start("svc")
         sim.run_until_triggered(engine.ready)
@@ -231,14 +231,17 @@ class TestPartiallyPlacedPlans:
         assert missing not in grouped
         assert "free" in result.unplaced[missing]
 
-    def test_engines_from_plan_builds_only_placed_engines(self):
-        from repro.cluster import engines_from_plan
+    def test_protected_fleet_builds_only_placed_engines(self):
+        from repro.cluster import ProtectedFleet
+        from repro.replication import EngineRecipe
 
         sim = Simulation(seed=0)
         result = self._partial_plan(sim)
-        engines, links = engines_from_plan(sim, result)
-        assert set(engines) == {p.vm_name for p in result.placements}
-        assert set(links) == set(result.by_host_pair())
+        fleet = ProtectedFleet(
+            sim, result, EngineRecipe(target_degradation=0.3, t_max=5.0)
+        )
+        assert set(fleet.engines) == {p.vm_name for p in result.placements}
+        assert set(fleet.links) == set(result.by_host_pair())
         # Callers must notice the miss via the plan itself.
-        assert set(result.unplaced) & set(engines) == set()
+        assert set(result.unplaced) & set(fleet.engines) == set()
         assert len(result.unplaced) == 1

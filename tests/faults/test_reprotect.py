@@ -11,6 +11,7 @@ from repro.hardware.host import Host
 from repro.hardware.memory import MemorySpec
 from repro.hardware.units import GIB
 from repro.hypervisor import KvmHypervisor, XenHypervisor
+from repro.replication import EngineRecipe
 from repro.replication.failover import FailoverController
 from repro.replication.heartbeat import HeartbeatMonitor
 from repro.simkernel.core import Simulation
@@ -42,7 +43,8 @@ def build_cluster(seed=3, vms=1, with_spare=True):
         requests.append(PlacementRequest(vm.name, xen0, GIB))
     plan = ReplicationPlanner(hypervisors).plan(requests)
     assert plan.fully_placed
-    fleet = ProtectedFleet(sim, plan, target_degradation=0.0, t_max=2.0)
+    recipe = EngineRecipe(target_degradation=0.0, t_max=2.0)
+    fleet = ProtectedFleet(sim, plan, recipe)
     fleet.start_protection(wait_ready=True)
     controllers = {}
     for vm_name, engine in fleet.engines.items():
@@ -54,8 +56,7 @@ def build_cluster(seed=3, vms=1, with_spare=True):
         failover = FailoverController(sim, engine, monitor)
         failover.arm()
         reprotection = ReprotectionController(
-            sim, failover, spares=hypervisors,
-            target_degradation=0.0, t_max=2.0,
+            sim, failover, spares=hypervisors, recipe=recipe
         )
         reprotection.arm()
         controllers[vm_name] = (monitor, failover, reprotection)
@@ -67,7 +68,10 @@ class TestValidation:
         sim, _, fleet, controllers, _ = build_cluster()
         (_, failover, _) = controllers["vm-0"]
         with pytest.raises(ValueError):
-            ReprotectionController(sim, failover, spares=[])
+            ReprotectionController(
+                sim, failover, spares=[],
+                recipe=EngineRecipe(target_degradation=0.0, t_max=2.0),
+            )
 
     def test_double_arm_rejected(self):
         _, _, _, controllers, _ = build_cluster()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.hardware import GIB, Host, LinkPair, MemorySpec, custom_nic
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import here_engine
+from repro.replication import EngineRecipe, here_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -35,7 +35,9 @@ def build(congested: bool, seed=29):
     MemoryMicrobenchmark(sim, vm, load=0.4).start()
     engine = here_engine(
         sim, xen, kvm, link,
-        target_degradation=0.3, t_max=20.0, sigma=0.25, initial_period=1.0,
+        EngineRecipe(
+            target_degradation=0.3, t_max=20.0, sigma=0.25, initial_period=1.0,
+        ),
     )
     engine.start("vm")
     sim.run_until_triggered(engine.ready, limit=1e6)

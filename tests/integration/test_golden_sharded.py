@@ -14,7 +14,7 @@ from repro.hardware.link import LinkPair
 from repro.hardware.memory import MemorySpec
 from repro.hardware.units import GIB
 from repro.hypervisor import registry
-from repro.replication.here import here_engine
+from repro.replication.here import EngineRecipe, here_engine
 from repro.simkernel.core import Simulation
 from repro.simkernel.random import derive_seed
 from repro.simkernel.sharded import ShardedSimulation
@@ -47,8 +47,7 @@ def build_pair(sim):
         primary,
         secondary,
         link,
-        target_degradation=0.3,
-        t_max=5.0,
+        EngineRecipe(target_degradation=0.3, t_max=5.0),
         name="here:golden",
     )
     workload = MemoryMicrobenchmark(sim, vm, load=0.4)

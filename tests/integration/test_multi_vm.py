@@ -10,7 +10,7 @@ import pytest
 
 from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import here_engine
+from repro.replication import EngineRecipe, here_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -28,7 +28,8 @@ def build_fleet(n_vms, seed=17, load=0.3, memory_gib=2):
         MemoryMicrobenchmark(sim, vm, load=load, name=f"wl-{index}").start()
         engine = here_engine(
             sim, xen, kvm, testbed.interconnect,
-            target_degradation=0.0, t_max=4.0, name=f"here-{index}",
+            EngineRecipe(target_degradation=0.0, t_max=4.0),
+            name=f"here-{index}",
         )
         engine.start(name)
         engines.append(engine)
@@ -113,7 +114,8 @@ class TestFleetProtection:
         vm_a.start()
         engine_a = here_engine(
             sim, xen, kvm, testbed.interconnect,
-            target_degradation=0.0, t_max=5.0, name="a-engine",
+            EngineRecipe(target_degradation=0.0, t_max=5.0),
+            name="a-engine",
         )
         engine_a.start("a")
         sim.run_until_triggered(engine_a.ready, limit=1e6)
@@ -121,7 +123,8 @@ class TestFleetProtection:
         vm_b.start()
         engine_b = here_engine(
             sim, xen, kvm, testbed.interconnect,
-            target_degradation=0.0, t_max=5.0, name="b-engine",
+            EngineRecipe(target_degradation=0.0, t_max=5.0),
+            name="b-engine",
         )
         engine_b.start("b")
         with pytest.raises(MemoryError):

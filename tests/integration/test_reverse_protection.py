@@ -90,7 +90,7 @@ class TestRoundTripProtection:
         replication direction is a deployment choice, not a constraint."""
         from repro.hardware import build_testbed
         from repro.hypervisor import KvmHypervisor, XenHypervisor
-        from repro.replication import here_engine
+        from repro.replication import EngineRecipe, here_engine
         from repro.simkernel import Simulation
 
         sim = Simulation(seed=21)
@@ -102,7 +102,7 @@ class TestRoundTripProtection:
         MemoryMicrobenchmark(sim, vm, load=0.2).start()
         engine = here_engine(
             sim, kvm, xen, testbed.interconnect,
-            target_degradation=0.0, t_max=2.0,
+            EngineRecipe(target_degradation=0.0, t_max=2.0),
         )
         engine.start("svc")
         sim.run_until_triggered(engine.ready)

@@ -32,7 +32,7 @@ class TestEngineIntegration:
     def build(self, compression, link_gbits=0.5):
         from repro.hardware import GIB, Host, LinkPair, MemorySpec, custom_nic
         from repro.hypervisor import KvmHypervisor, XenHypervisor
-        from repro.replication import here_config, here_controller
+        from repro.replication import EngineRecipe
         from repro.replication.engine import ReplicationEngine
         from repro.simkernel import Simulation
         from repro.workloads import MemoryMicrobenchmark
@@ -48,7 +48,7 @@ class TestEngineIntegration:
         vm = xen.create_vm("vm", vcpus=4, memory_bytes=2 * GIB)
         vm.start()
         MemoryMicrobenchmark(sim, vm, load=0.4).start()
-        config = here_config(here_controller(0.0, t_max=3.0))
+        config = EngineRecipe(target_degradation=0.0, t_max=3.0).config()
         config.compression = compression
         engine = ReplicationEngine(sim, xen, kvm, link, config)
         engine.start("vm")

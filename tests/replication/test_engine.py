@@ -1,11 +1,13 @@
 """The replication engine: seeding, checkpoints, output commit, halt."""
 
+import math
+
 import pytest
 
 from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
 from repro.net import ServiceConnection
-from repro.replication import here_engine, remus_engine
+from repro.replication import EngineRecipe, here_engine, remus_engine
 from repro.simkernel import Simulation
 from repro.workloads import IdleWorkload, MemoryMicrobenchmark
 
@@ -17,7 +19,8 @@ def build(engine_kind="here", load=0.3, seed=7, **engine_kwargs):
     if engine_kind == "here":
         secondary = KvmHypervisor(sim, testbed.secondary)
         engine = here_engine(
-            sim, xen, secondary, testbed.interconnect, **engine_kwargs
+            sim, xen, secondary, testbed.interconnect,
+            EngineRecipe(**engine_kwargs),
         )
     else:
         secondary = XenHypervisor(sim, testbed.secondary)
@@ -184,14 +187,8 @@ class TestEngineFactories:
             remus_engine(sim, xen, kvm, testbed.interconnect, period=3.0)
 
     def test_here_d_zero_requires_finite_tmax(self):
-        sim = Simulation(seed=0)
-        testbed = build_testbed(sim)
-        xen = XenHypervisor(sim, testbed.primary)
-        kvm = KvmHypervisor(sim, testbed.secondary)
         with pytest.raises(ValueError):
-            here_engine(
-                sim, xen, kvm, testbed.interconnect, target_degradation=0.0
-            )
+            EngineRecipe(target_degradation=0.0, t_max=math.inf)
 
     def test_remus_runs_end_to_end(self):
         sim, _tb, _xen, _kvm, _vm, engine = build("remus", period=2.0)

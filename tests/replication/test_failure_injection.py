@@ -99,7 +99,7 @@ class TestRepeatedFailovers:
     def test_engine_restart_after_clean_halt(self):
         """Stopping protection and starting a fresh engine on the same
         VM works — operators re-protect after maintenance."""
-        from repro.replication import here_engine
+        from repro.replication import EngineRecipe, here_engine
 
         deployment = deploy()
         deployment.start_protection()
@@ -114,8 +114,7 @@ class TestRepeatedFailovers:
             deployment.primary,
             deployment.secondary,
             deployment.testbed.interconnect,
-            target_degradation=0.0,
-            t_max=2.0,
+            EngineRecipe(target_degradation=0.0, t_max=2.0),
             name="here-second",
         )
         fresh.start("protected")

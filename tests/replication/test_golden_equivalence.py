@@ -21,7 +21,7 @@ import hashlib
 
 from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import XBRLE, here_engine, remus_engine
+from repro.replication import XBRLE, EngineRecipe, here_engine, remus_engine
 from repro.simkernel import Simulation
 from repro.telemetry import Recorder
 from repro.workloads import MemoryMicrobenchmark
@@ -43,14 +43,16 @@ def _build(kind):
         secondary = KvmHypervisor(sim, testbed.secondary)
         engine = here_engine(
             sim, xen, secondary, testbed.interconnect,
-            target_degradation=0.3, t_max=5.0, sigma=0.25,
-            initial_period=0.5,
+            EngineRecipe(
+                target_degradation=0.3, t_max=5.0, sigma=0.25,
+                initial_period=0.5,
+            ),
         )
     else:  # here-compressed: exercises the CompressStage path
         secondary = KvmHypervisor(sim, testbed.secondary)
         engine = here_engine(
             sim, xen, secondary, testbed.interconnect,
-            target_degradation=0.0, t_max=3.0,
+            EngineRecipe(target_degradation=0.0, t_max=3.0),
         )
         engine.config.compression = XBRLE
     vm = xen.create_vm("golden", vcpus=4, memory_bytes=1 * GIB)

@@ -1,5 +1,7 @@
 """The checkpoint stage pipeline (repro.replication.pipeline)."""
 
+import math
+
 import pytest
 
 from repro.hardware import GIB, build_testbed
@@ -11,6 +13,7 @@ from repro.replication import (
     ChunkedTransferPolicy,
     CommitReleaseStage,
     CompressStage,
+    EngineRecipe,
     ExtractStateStage,
     FlatTransferPolicy,
     PauseStage,
@@ -20,8 +23,6 @@ from repro.replication import (
     TransferStage,
     TranslateStage,
     build_checkpoint_pipeline,
-    here_config,
-    here_controller,
     here_engine,
     remus_engine,
 )
@@ -38,7 +39,8 @@ def remus_lineup():
 
 def here_lineup():
     return build_checkpoint_pipeline(
-        here_config(here_controller(0.3)), heterogeneous=True
+        EngineRecipe(target_degradation=0.3, t_max=math.inf).config(),
+        heterogeneous=True,
     )
 
 
@@ -55,7 +57,7 @@ def build_engine(kind="here", seed=5, **kwargs):
         secondary = KvmHypervisor(sim, testbed.secondary)
         engine = here_engine(
             sim, xen, secondary, testbed.interconnect,
-            target_degradation=0.0, t_max=1.0, **kwargs
+            EngineRecipe(target_degradation=0.0, t_max=1.0, **kwargs),
         )
     vm = xen.create_vm("vm", vcpus=2, memory_bytes=1 * GIB)
     vm.start()

@@ -14,7 +14,7 @@ import pytest
 from repro.cluster import DeploymentSpec, ProtectedDeployment
 from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import here_engine
+from repro.replication import EngineRecipe, here_engine
 from repro.replication.transport import (
     CheckpointTransport,
     DegradationController,
@@ -35,7 +35,7 @@ def build(seed=7, transport=TransportConfig(), load=0.25, **engine_kwargs):
     engine_kwargs.setdefault("t_max", 2.0)
     engine = here_engine(
         sim, xen, kvm, testbed.interconnect,
-        transport=transport, **engine_kwargs
+        EngineRecipe(transport=transport, **engine_kwargs),
     )
     vm = xen.create_vm("protected", vcpus=4, memory_bytes=2 * GIB)
     vm.start()

@@ -14,7 +14,7 @@ from repro.hardware import GIB, build_testbed
 from repro.hypervisor import KvmHypervisor, XenHypervisor
 from repro.migration import MigrationConfig, MigrationEngine, MigrationMode
 from repro.migration.stats import MigrationStats
-from repro.replication import here_engine, remus_engine
+from repro.replication import EngineRecipe, here_engine, remus_engine
 from repro.replication.checkpoint import ReplicationStats
 from repro.simkernel import Simulation
 from repro.telemetry import Recorder, TraceWriter, recorder_from_trace
@@ -28,7 +28,8 @@ def build_replication(engine_kind="here", seed=7, **engine_kwargs):
     if engine_kind == "here":
         secondary = KvmHypervisor(sim, testbed.secondary)
         engine = here_engine(
-            sim, xen, secondary, testbed.interconnect, **engine_kwargs
+            sim, xen, secondary, testbed.interconnect,
+            EngineRecipe(**engine_kwargs),
         )
     else:
         secondary = XenHypervisor(sim, testbed.secondary)

@@ -100,7 +100,7 @@ class TestReplay:
         """Traces drive protected VMs like any other workload."""
         from repro.hardware import build_testbed
         from repro.hypervisor import KvmHypervisor, XenHypervisor
-        from repro.replication import here_engine
+        from repro.replication import EngineRecipe, here_engine
 
         sim = Simulation(seed=4)
         testbed = build_testbed(sim)
@@ -115,7 +115,10 @@ class TestReplay:
         ).start()
         engine = here_engine(
             sim, xen, kvm, testbed.interconnect,
-            target_degradation=0.3, t_max=10.0, sigma=0.5, initial_period=1.0,
+            EngineRecipe(
+                target_degradation=0.3, t_max=10.0, sigma=0.5,
+                initial_period=1.0,
+            ),
         )
         engine.start("t")
         sim.run_until_triggered(engine.ready)
