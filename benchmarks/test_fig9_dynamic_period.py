@@ -43,15 +43,12 @@ def run_experiment():
             seed=BENCH_SEED,
         )
     )
-    workload = MemoryMicrobenchmark(
-        deployment.sim, deployment.vm, phases=PHASES
-    )
-    workload.start()
+    MemoryMicrobenchmark(deployment.sim, deployment.vm, phases=PHASES).start()
     deployment.start_protection(wait_ready=True)
     start = deployment.sim.now
     deployment.run_for(TOTAL)
     checkpoints = deployment.stats.checkpoints
-    return start, checkpoints, workload
+    return start, checkpoints
 
 
 def phase_of(relative_time):
@@ -65,7 +62,7 @@ def phase_of(relative_time):
 
 
 def test_fig9_dynamic_period_tracks_load(benchmark):
-    start, checkpoints, workload = benchmark.pedantic(
+    start, checkpoints = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
     times = [c.started_at - start for c in checkpoints]
