@@ -20,12 +20,8 @@ from repro.analysis import (
 from repro.cluster import PlacementRequest, ReplicationPlanner
 from repro.hardware import GIB, Host, LinkPair, MemorySpec, omnipath_hfi100
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.replication import (
-    EngineRecipe,
-    FailoverController,
-    HeartbeatMonitor,
-    here_engine,
-)
+from repro.faults.protection import protect_engine
+from repro.replication import EngineRecipe, here_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
 
@@ -82,16 +78,17 @@ def main() -> None:
     engine = here_engine(sim, xen, secondary, link, recipe, name=f"here-{target}")
     engine.start(target)
     sim.run_until_triggered(engine.ready)
-    monitor = HeartbeatMonitor(sim, xen.host, xen, link)
-    monitor.start()
-    FailoverController(sim, engine, monitor).arm()
+    # Heartbeat on the primary, ASR failover armed behind it.
+    protection = protect_engine(
+        sim, engine, interval=0.03, miss_threshold=3
+    )
     sim.run(until=sim.now + 60.0)
     stats = engine.stats
 
     timings = ReplicationTimings(
         checkpoint_period=stats.mean_period(),
         checkpoint_pause=stats.mean_pause_duration(),
-        detection_latency=monitor.detection_latency_bound,
+        detection_latency=protection.monitor.detection_latency_bound,
         activation_time=secondary.host.cost_model.replica_activation_time,
     )
     comparison = compare_availability(

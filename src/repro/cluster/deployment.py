@@ -2,7 +2,8 @@
 
 Every experiment in the paper uses the same shape: two hosts on an
 Omni-Path interconnect, a hypervisor on each, one protected VM with a
-workload, a replication engine, a heartbeat, and a failover controller.
+workload, a replication engine, a heartbeat, and a failover controller
+(the last two from :func:`~repro.faults.protection.protect_engine`).
 :class:`ProtectedDeployment` assembles all of it from a
 :class:`DeploymentSpec` so benchmarks and examples stay short and
 consistent.
@@ -23,10 +24,10 @@ from ..hypervisor.base import Hypervisor
 from ..net.egress import EgressBuffer
 from ..net.service import ServiceConnection
 from ..integrity.config import IntegrityConfig
-from ..replication.colo import ColoEngine, colo_engine
+from ..recovery import MicrorebootConfig, RecoveryPolicy
+from ..replication.colo import colo_engine
 from ..replication.engine import ReplicationEngine
 from ..replication.failover import FailoverController
-from ..replication.heartbeat import HeartbeatMonitor
 from ..replication.here import EngineRecipe, here_engine
 from ..replication.remus import remus_engine
 from ..replication.transport import TransportConfig
@@ -157,44 +158,51 @@ class ProtectedDeployment:
                 self.testbed.interconnect,
                 recipe,
             )
-        self.monitor = HeartbeatMonitor(
+        #: Built by :meth:`start_protection`.
+        self.protection = None
+        self.service: Optional[ServiceConnection] = None
+
+    # -- orchestration -------------------------------------------------------
+    def start_protection(
+        self,
+        wait_ready: bool = True,
+        *,
+        policy: RecoveryPolicy = RecoveryPolicy.FAILOVER,
+        microreboot: Optional[MicrorebootConfig] = None,
+    ) -> None:
+        """Start the engine, then protect it (:func:`protect_engine`),
+        and optionally run seeding to completion."""
+        # Imported here: repro.faults imports this module.
+        from ..faults.protection import protect_engine
+
+        spec = self.spec
+        self.engine.start(spec.vm_name)
+        self.protection = protect_engine(
             self.sim,
-            self.testbed.primary,
-            self.primary,
-            self.testbed.interconnect,
+            self.engine,
             interval=spec.heartbeat_interval,
             miss_threshold=spec.heartbeat_misses,
             degraded_miss_threshold=spec.degraded_heartbeat_misses,
-            loss_signal=self._transport_loss_signal,
+            policy=policy,
+            microreboot=microreboot,
+            replica_service_link=self.testbed.service_secondary,
         )
-        # The ASR failover protocol promotes the replica from the last
-        # *acked checkpoint* via the ReplicaSession; lock-stepping has
-        # neither — its replica is already executing — so a COLO
-        # deployment runs without the ASR failover controller.
-        self.failover: Optional[FailoverController] = None
-        if not isinstance(self.engine, ColoEngine):
-            self.failover = FailoverController(
-                self.sim,
-                self.engine,
-                self.monitor,
-                replica_service_link=self.testbed.service_secondary,
-            )
-        self.service: Optional[ServiceConnection] = None
-
-    def _transport_loss_signal(self) -> bool:
-        # Bound late: the engine's transport only exists after start().
-        transport = getattr(self.engine, "transport", None)
-        return transport is not None and transport.link_appears_lossy()
-
-    # -- orchestration -------------------------------------------------------
-    def start_protection(self, wait_ready: bool = True) -> None:
-        """Start replication (and optionally run seeding to completion)."""
-        self.engine.start(self.spec.vm_name)
-        self.monitor.start()
-        if self.failover is not None:
-            self.failover.arm()
         if wait_ready:
             self.sim.run_until_triggered(self.engine.ready)
+
+    def _started_protection(self):
+        if self.protection is None:
+            raise RuntimeError("start_protection() must run first")
+        return self.protection
+
+    @property
+    def monitor(self):
+        return self._started_protection().monitor
+
+    @property
+    def failover(self) -> Optional[FailoverController]:
+        """None for COLO (lock-stepping has no acked checkpoint)."""
+        return self._started_protection().failover
 
     def attach_service(self, service_time: float = 20e-6) -> ServiceConnection:
         """Wire an external client path through the engine's egress.

@@ -683,16 +683,10 @@ class ChaosCampaign:
             )
         # Close the trial out cleanly so session spans end inside this
         # trial's bus (and a --trace file), not at garbage collection.
-        for protection in protections.values():
-            if protection.degradation is not None:
-                protection.degradation.stop()
-        for protection in protections.values():
-            if protection.gate is not None:
-                protection.gate.stop()
         for protection, reprotection in zip(
             protections.values(), reprotections
         ):
-            protection.monitor.stop()
+            protection.stop()
             if reprotection.engine is not None:
                 reprotection.engine.halt("trial over")
         fleet.halt("trial over")

@@ -1,12 +1,15 @@
 """Per-VM protection assembly: detector -> recovery gate -> failover.
 
-Chaos trials and the fleet control plane guard every replication engine
-the same way, and this is the one place that wiring is spelled out.  The
+Every protected engine — the paper testbed's
+:class:`~repro.cluster.deployment.ProtectedDeployment`, chaos trials,
+the fleet control plane and the serving study — is guarded the same
+way, and this is the one place that wiring is spelled out.  The
 construction and ``start()``/``arm()`` order is part of the
 deterministic event order (process creation breaks same-instant ties),
 so it is fixed here: detector, degradation controller (hardened
 transport only), recovery gate (non-failover policies only), failover
-controller.
+controller (not for COLO, whose replica already executes).
+:meth:`Protection.stop` is the matching teardown.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from ..recovery import (
     RecoveryController,
     RecoveryPolicy,
 )
+from ..hardware.link import Link
+from ..replication.colo import ColoEngine
 from ..replication.failover import FailoverController
 from ..replication.heartbeat import HeartbeatMonitor
 from ..replication.transport import DegradationController
@@ -29,9 +34,22 @@ class Protection(NamedTuple):
     """The controllers guarding one engine."""
 
     monitor: object
-    failover: FailoverController
+    #: None for a COLO engine (lock-stepping has no ASR failover).
+    failover: Optional[FailoverController]
     gate: Optional[RecoveryController]
     degradation: Optional[DegradationController]
+
+    def stop(self) -> None:
+        """Stop every controller that runs a process (teardown).
+
+        The failover controller is left armed: with the detector
+        stopped its trigger can no longer fire.
+        """
+        if self.degradation is not None:
+            self.degradation.stop()
+        if self.gate is not None:
+            self.gate.stop()
+        self.monitor.stop()
 
 
 def protect_engine(
@@ -40,12 +58,13 @@ def protect_engine(
     *,
     interval: float,
     miss_threshold: int,
-    microreboots: Dict[str, MicrorebootEngine],
+    microreboots: Optional[Dict[str, MicrorebootEngine]] = None,
     policy: RecoveryPolicy = RecoveryPolicy.FAILOVER,
     microreboot: Optional[MicrorebootConfig] = None,
     detector: str = "heartbeat",
     phi_threshold: float = 8.0,
     degraded_miss_threshold: Optional[int] = None,
+    replica_service_link: Optional[Link] = None,
 ) -> Protection:
     """Start a detector on ``engine``'s primary and arm its failover.
 
@@ -54,9 +73,11 @@ def protect_engine(
     detector: suspicion is withheld while a microreboot is in flight
     and only propagated per policy.  ``microreboots`` caches one
     :class:`~repro.recovery.MicrorebootEngine` per primary host name,
-    so co-located VMs share the attempt.
+    so co-located VMs share the attempt (pass one dict for every engine
+    of a fleet).  ``replica_service_link`` lets the failover controller
+    re-home a client service after promotion.
     """
-    transport = engine.transport
+    transport = getattr(engine, "transport", None)  # COLO has none
     if detector == "phi":
         monitor = PhiAccrualDetector(
             sim,
@@ -86,6 +107,8 @@ def protect_engine(
         degradation.start()
     gate = None
     if policy is not RecoveryPolicy.FAILOVER:
+        if microreboots is None:
+            microreboots = {}
         host_name = engine.primary.host.name
         if host_name not in microreboots:
             microreboots[host_name] = MicrorebootEngine(
@@ -95,8 +118,13 @@ def protect_engine(
             sim, engine, monitor, microreboots[host_name], policy=policy
         )
         gate.start()
-    failover = FailoverController(
-        sim, engine, monitor if gate is None else gate
-    )
-    failover.arm()
+    failover = None
+    if not isinstance(engine, ColoEngine):
+        failover = FailoverController(
+            sim,
+            engine,
+            monitor if gate is None else gate,
+            replica_service_link=replica_service_link,
+        )
+        failover.arm()
     return Protection(monitor, failover, gate, degradation)

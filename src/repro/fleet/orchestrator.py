@@ -624,9 +624,7 @@ class FleetOrchestrator:
         """Stop every engine and monitor (campaign teardown)."""
         for shard in self.shards.values():
             for protection in shard.protections.values():
-                if protection.gate is not None:
-                    protection.gate.stop()
-                protection.monitor.stop()
+                protection.stop()
             for engine in shard.engines.values():
                 engine.halt(reason)
             for engine in shard.reseed_engines.values():

@@ -9,7 +9,6 @@ controller wires to the gate unchanged; the gate consumes the *real*
 detector's suspicion and decides, per
 :class:`~repro.recovery.spec.RecoveryPolicy`, what to do with it:
 
-* ``failover`` — propagate immediately (bit-for-bit the old behavior);
 * ``recover-in-place`` — run the microreboot; never propagate.  A
   failed or overdue microreboot means the VM is lost: that is the
   price of the pure ReHype policy, and exactly what the three-way
@@ -18,6 +17,11 @@ detector's suspicion and decides, per
   fails, reports latent corruption, or exceeds its deadline.  While
   the microreboot is in flight the gate *withholds* the suspicion, so
   a silent mid-recovery hypervisor cannot trigger a spurious failover.
+
+Under the ``failover`` policy there is no gate at all: the failover
+controller watches the detector directly
+(:func:`~repro.faults.protection.protect_engine`), so the controller
+rejects that policy.
 
 On microreboot success the gate re-arms the halted replication engine
 on the same primary/secondary pair: the replica still holds the last
@@ -39,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..simkernel.errors import Interrupt
-from ..telemetry.bus import NULL_SPAN
 from .microreboot import MicrorebootEngine, MicrorebootReport
 from .spec import RecoveryPolicy
 
@@ -84,6 +87,11 @@ class RecoveryController:
         self.monitor = monitor
         self.microreboot = microreboot
         self.policy = RecoveryPolicy.parse(policy)
+        if self.policy is RecoveryPolicy.FAILOVER:
+            raise ValueError(
+                "the failover policy has no recovery gate: wire the "
+                "failover controller to the detector directly"
+            )
         #: What the failover controller watches instead of the real
         #: detector's event.
         self.failure_detected = sim.event(
@@ -117,10 +125,10 @@ class RecoveryController:
     def detection_latency_bound(self) -> float:
         """The inner detector's bound plus the recovery deadline the
         gate may spend before escalating."""
-        bound = self.monitor.detection_latency_bound
-        if self.policy is RecoveryPolicy.FAILOVER:
-            return bound
-        return bound + self.microreboot.config.deadline
+        return (
+            self.monitor.detection_latency_bound
+            + self.microreboot.config.deadline
+        )
 
     # -- the gate process ----------------------------------------------------
     def _propagate(self, reason: str) -> None:
@@ -164,14 +172,6 @@ class RecoveryController:
             return
         detected_at = self.sim.now
         vm_name = self.engine.vm.name if self.engine.vm is not None else ""
-        if self.policy is RecoveryPolicy.FAILOVER:
-            # Pass-through: identical wiring to the classic campaign.
-            self._propagate(reason)
-            self._resolve(
-                NULL_SPAN, reason=str(reason), detected_at=detected_at,
-                escalated=True,
-            )
-            return
         bus = self.sim.telemetry
         span = bus.span(
             "recovery", vm=vm_name, policy=self.policy.value,

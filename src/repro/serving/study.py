@@ -39,12 +39,8 @@ from ..cluster.deployment import (
 )
 from ..faults.injector import FaultInjector
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
-from ..recovery import (
-    MicrorebootConfig,
-    MicrorebootEngine,
-    RecoveryController,
-    RecoveryPolicy,
-)
+from ..recovery import MicrorebootConfig, RecoveryPolicy
+from ..replication.heartbeat import HeartbeatMonitor
 from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
 from ..telemetry.metrics import fingerprint_float as _finite
@@ -185,32 +181,25 @@ class ServingStudy:
         sim = deployment.sim
         recorder = Recorder.attach(sim.telemetry)
 
-        gate = None
-        if strategy == "hybrid-recovery":
-            microreboot = MicrorebootEngine(
-                sim,
-                deployment.primary,
-                config=config.microreboot,
-            )
-            gate = RecoveryController(
-                sim,
-                deployment.engine,
-                deployment.monitor,
-                microreboot,
-                policy=RecoveryPolicy.HYBRID,
-            )
-            # The failover controller must watch the gate, not the raw
-            # detector: suspicion is withheld while the microreboot is
-            # in flight.  Repoint it before start_protection arms it.
-            deployment.failover.monitor = gate
-
         if unreplicated:
-            # No engine, no seeding: just watch the primary.
-            deployment.monitor.start()
+            # No engine to protect: one bare detector watches the primary.
+            guard = HeartbeatMonitor(
+                sim,
+                deployment.testbed.primary,
+                deployment.primary,
+                deployment.testbed.interconnect,
+                interval=spec.heartbeat_interval,
+                miss_threshold=spec.heartbeat_misses,
+            )
+            guard.start()
         else:
-            deployment.start_protection(wait_ready=True)
-            if gate is not None:
-                gate.start()
+            # hybrid-recovery gates the failover behind a microreboot.
+            hybrid = strategy == "hybrid-recovery"
+            deployment.start_protection(
+                policy=RecoveryPolicy.HYBRID if hybrid else RecoveryPolicy.FAILOVER,
+                microreboot=config.microreboot,
+            )
+            guard = deployment.protection
 
         serve_start = sim.now
         horizon = serve_start + config.duration
@@ -230,9 +219,7 @@ class ServingStudy:
         )
         sim.run(until=horizon)
         # Close out so session spans land on the bus before harvest.
-        deployment.monitor.stop()
-        if gate is not None:
-            gate.stop()
+        guard.stop()
         if not unreplicated:
             deployment.engine.halt("study over")
         sim.run(until=sim.now + 0.5)

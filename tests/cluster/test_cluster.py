@@ -83,9 +83,9 @@ class TestProtectedDeployment:
                 secondary_flavor="xen",
             )
         )
+        deployment.start_protection()
         # Lock-stepping has no ASR failover protocol to arm.
         assert deployment.failover is None
-        deployment.start_protection()
         deployment.run_for(5.0)
         assert deployment.stats.comparison_count > 10
         assert deployment.replica.is_running

@@ -31,9 +31,7 @@ def run_with_crash(crash_time: float, seed: int):
     )
     MemoryMicrobenchmark(deployment.sim, deployment.vm, load=0.3).start()
     sim = deployment.sim
-    deployment.engine.start("protected")
-    deployment.monitor.start()
-    deployment.failover.arm()
+    deployment.start_protection(wait_ready=False)
     sim.schedule_callback(
         crash_time, lambda: deployment.primary.crash("fuzzed DoS")
     )

@@ -17,7 +17,6 @@ from repro.recovery import (
     MicrorebootConfig,
     MicrorebootEngine,
     RecoveryController,
-    RecoveryPolicy,
 )
 from repro.replication.failover import FailoverController
 from repro.telemetry import Recorder
@@ -113,17 +112,3 @@ class TestSilentRebuildWindow:
             detector.detection_latency_bound + 2.0
         )
 
-
-class TestPureFailoverGate:
-    def test_failover_policy_is_transparent_to_phi_suspicion(self):
-        deployment, _rec, detector, gate, failover = build(policy="failover")
-        assert gate.policy is RecoveryPolicy.FAILOVER
-        assert gate.detection_latency_bound == pytest.approx(
-            detector.detection_latency_bound
-        )
-        deployment.primary.crash("test crash")
-        deployment.sim.run_until_triggered(gate.completed)
-        assert gate.report.escalated and not gate.report.attempted
-        deployment.run_for(5.0)
-        assert failover.report is not None
-        assert not failover.report.failed

@@ -50,17 +50,6 @@ def resolve(deployment, gate):
     return gate.report
 
 
-class TestFailoverPassThrough:
-    def test_suspicion_propagates_unchanged(self):
-        deployment, _rec, _mon, gate, failover = build("failover")
-        deployment.primary.crash("test crash")
-        report = resolve(deployment, gate)
-        assert report.escalated and not report.attempted
-        deployment.run_for(5.0)
-        assert failover.report is not None
-        assert not failover.report.failed
-
-
 class TestRecoverInPlace:
     def test_success_keeps_vm_on_primary(self):
         deployment, recorder, _mon, gate, failover = build(
@@ -165,3 +154,9 @@ class TestValidation:
 
     def test_policy_parsed(self):
         assert build("hybrid")[3].policy is RecoveryPolicy.HYBRID
+
+    def test_failover_policy_rejected(self):
+        # Under the failover policy the failover controller watches the
+        # detector directly; there is no gate to build.
+        with pytest.raises(ValueError, match="no recovery gate"):
+            build("failover")

@@ -47,9 +47,7 @@ class TestFailuresDuringSeeding:
         loss rather than activate a garbage replica."""
         deployment = deploy()
         sim = deployment.sim
-        deployment.engine.start("protected")
-        deployment.monitor.start()
-        deployment.failover.arm()
+        deployment.start_protection(wait_ready=False)
         # Kill the primary 0.5 s into seeding — no checkpoint exists.
         sim.schedule_callback(0.5, lambda: deployment.primary.crash("DoS"))
         report = sim.run_until_triggered(
