@@ -615,7 +615,7 @@ class ChaosCampaign:
         policy = RecoveryPolicy.parse(config.recovery_policy)
         microreboots: Dict[str, MicrorebootEngine] = {}
         protections: Dict[str, Protection] = {}
-        reprotections: List[ReprotectionController] = []
+        reprotections: Dict[str, ReprotectionController] = {}
         for vm_name, engine in fleet.engines.items():
             protection = protect_engine(
                 sim,
@@ -637,7 +637,7 @@ class ChaosCampaign:
             )
             reprotection.arm()
             protections[vm_name] = protection
-            reprotections.append(reprotection)
+            reprotections[vm_name] = reprotection
 
         injector = FaultInjector(
             sim,
@@ -647,7 +647,14 @@ class ChaosCampaign:
         )
         for vm_name, engine in fleet.engines.items():
             if engine.integrity_monitor is not None:
-                injector.register_integrity(vm_name, engine.integrity_monitor)
+                # Resolved per injection: after a failover the VM's
+                # replica is the re-seeded engine's.
+                injector.register_integrity(
+                    vm_name,
+                    lambda e=engine, r=reprotections[vm_name]: (
+                        r.engine or e
+                    ).integrity_monitor,
+                )
         # VM names feed the schedule only when a corruption kind asked
         # for them: the extra argument never perturbs the draw sequence
         # of a historical kind list, so default fingerprints hold.
@@ -670,7 +677,8 @@ class ChaosCampaign:
             + config.recovery_time
         )
         trial = self._harvest(
-            index, trial_seed, sim, recorder, fleet, protections, trial_start
+            index, trial_seed, sim, recorder, fleet, protections,
+            reprotections, trial_start,
         )
         # The serving overlay replays a seeded arrival population
         # against the telemetry above.  It runs before close-out (the
@@ -683,10 +691,9 @@ class ChaosCampaign:
             )
         # Close the trial out cleanly so session spans end inside this
         # trial's bus (and a --trace file), not at garbage collection.
-        for protection, reprotection in zip(
-            protections.values(), reprotections
-        ):
+        for vm_name, protection in protections.items():
             protection.stop()
+            reprotection = reprotections[vm_name]
             if reprotection.engine is not None:
                 reprotection.engine.halt("trial over")
         fleet.halt("trial over")
@@ -754,7 +761,8 @@ class ChaosCampaign:
             IdleWorkload(sim, vm).start()
 
     def _harvest(
-        self, index, trial_seed, sim, recorder, fleet, protections, trial_start
+        self, index, trial_seed, sim, recorder, fleet, protections,
+        reprotections, trial_start,
     ) -> TrialResult:
         """Build the TrialResult from the telemetry the bus recorded."""
         trial = TrialResult(index=index, seed=trial_seed)
@@ -844,8 +852,9 @@ class ChaosCampaign:
             sum(r.value for r in recorder.counters("transport.fencing_rejected"))
         )
         if self.config.integrity is not None:
+            reseeded = [r.engine for r in reprotections.values() if r.engine]
             integrity = IntegrityTally.collect(
-                fleet.engines.values(), sim.now, recorder
+                [*fleet.engines.values(), *reseeded], sim.now, recorder
             )
             for name, value in vars(integrity).items():
                 setattr(trial, name, value)

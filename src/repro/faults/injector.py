@@ -11,7 +11,7 @@ happened from the trace alone.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from ..hardware.host import Host
 from ..hardware.link import Link, LinkPair
@@ -45,9 +45,10 @@ class FaultInjector:
         for vm in vms:
             self.register_vm(vm)
         self.exploit_injector = exploit_injector or ExploitInjector(sim)
-        #: Integrity monitors by VM name — the dispatch surface of the
+        #: By VM name, a callable returning the IntegrityMonitor of the
+        #: engine replicating that VM now — the dispatch surface of the
         #: silent-corruption kinds (engines with integrity enabled).
-        self.integrity: Dict[str, object] = {}
+        self.integrity: Dict[str, Callable[[], object]] = {}
         #: Chronological record of every applied fault.
         self.injected: List[InjectedFault] = []
         self._processes: List = []
@@ -62,9 +63,14 @@ class FaultInjector:
     def register_vm(self, vm: VirtualMachine) -> None:
         self.vms[vm.name] = vm
 
-    def register_integrity(self, vm_name: str, monitor) -> None:
-        """Expose a VM's IntegrityMonitor as a corruption-fault target."""
-        self.integrity[vm_name] = monitor
+    def register_integrity(self, vm_name: str, current) -> None:
+        """Make a VM a corruption-fault target.
+
+        ``current()`` is called at each injection and revert and returns
+        the IntegrityMonitor of the engine replicating the VM then — after
+        a failover, the re-seeded engine's, not the pre-failover one's.
+        """
+        self.integrity[vm_name] = current
 
     # -- arming -------------------------------------------------------------
     def schedule(self, schedule: FaultSchedule) -> None:
@@ -221,7 +227,7 @@ class FaultInjector:
             FaultKind.REPLICA_BITROT,
             FaultKind.TORN_APPLY,
         ):
-            return self.integrity[spec.target].inject(kind.value)
+            return self.integrity[spec.target]().inject(kind.value)
         if kind is FaultKind.EXPLOIT:
             hypervisor = self.hosts[spec.target].hypervisor
             if hypervisor is None:
@@ -242,7 +248,7 @@ class FaultInjector:
                 f"transient fault over: {spec.reason or 'reboot'}"
             )
         elif spec.kind is FaultKind.TRANSLATOR_DRIFT:
-            self.integrity[spec.target].clear_drift()
+            self.integrity[spec.target]().clear_drift()
         elif spec.kind in self._IMPAIRMENT_KINDS:
             # Impairments clear without touching degradation/partition
             # state a concurrent fault may have applied to the same link.

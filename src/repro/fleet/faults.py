@@ -97,9 +97,12 @@ class FleetFaultInjector:
         )
 
     def _integrity_monitor(self, vm_name: str):
+        """The monitor of the engine replicating ``vm_name`` now: its
+        re-seed once a failover has promoted the replica."""
         for shard in self.orchestrator.shards.values():
             engine = shard.engines.get(vm_name)
             if engine is not None:
+                engine = shard.reseed_engines.get(vm_name, engine)
                 return engine.integrity_monitor
         return None
 
