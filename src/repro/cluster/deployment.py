@@ -2,8 +2,7 @@
 
 Every experiment in the paper uses the same shape: two hosts on an
 Omni-Path interconnect, a hypervisor on each, one protected VM with a
-workload, a replication engine, a heartbeat, and a failover controller
-(the last two from :func:`~repro.faults.protection.protect_engine`).
+workload, a replication engine, a heartbeat, and a failover controller.
 :class:`ProtectedDeployment` assembles all of it from a
 :class:`DeploymentSpec` so benchmarks and examples stay short and
 consistent.

@@ -45,9 +45,8 @@ class FaultInjector:
         for vm in vms:
             self.register_vm(vm)
         self.exploit_injector = exploit_injector or ExploitInjector(sim)
-        #: By VM name, a callable returning the IntegrityMonitor of the
-        #: engine replicating that VM now — the dispatch surface of the
-        #: silent-corruption kinds (engines with integrity enabled).
+        #: VM name -> callable returning its current IntegrityMonitor:
+        #: the dispatch surface of the silent-corruption kinds.
         self.integrity: Dict[str, Callable[[], object]] = {}
         #: Chronological record of every applied fault.
         self.injected: List[InjectedFault] = []
@@ -64,12 +63,9 @@ class FaultInjector:
         self.vms[vm.name] = vm
 
     def register_integrity(self, vm_name: str, current) -> None:
-        """Make a VM a corruption-fault target.
-
-        ``current()`` is called at each injection and revert and returns
-        the IntegrityMonitor of the engine replicating the VM then — after
-        a failover, the re-seeded engine's, not the pre-failover one's.
-        """
+        """Make a VM a corruption-fault target; ``current()`` returns,
+        at each injection and revert, the IntegrityMonitor of the engine
+        replicating the VM then (after a failover, the re-seed's)."""
         self.integrity[vm_name] = current
 
     # -- arming -------------------------------------------------------------

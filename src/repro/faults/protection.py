@@ -1,15 +1,12 @@
 """Per-VM protection assembly: detector -> recovery gate -> failover.
 
-Every protected engine — the paper testbed's
-:class:`~repro.cluster.deployment.ProtectedDeployment`, chaos trials,
-the fleet control plane and the serving study — is guarded the same
-way, and this is the one place that wiring is spelled out.  The
-construction and ``start()``/``arm()`` order is part of the
+Every protected engine (deployments, chaos, fleet, serving study) is
+guarded the same way, and this is the one place that wiring is spelled
+out.  The construction and ``start()``/``arm()`` order is part of the
 deterministic event order (process creation breaks same-instant ties),
 so it is fixed here: detector, degradation controller (hardened
 transport only), recovery gate (non-failover policies only), failover
 controller (not for COLO, whose replica already executes).
-:meth:`Protection.stop` is the matching teardown.
 """
 
 from __future__ import annotations
@@ -40,11 +37,7 @@ class Protection(NamedTuple):
     degradation: Optional[DegradationController]
 
     def stop(self) -> None:
-        """Stop every controller that runs a process (teardown).
-
-        The failover controller is left armed: with the detector
-        stopped its trigger can no longer fire.
-        """
+        """Teardown: with the detector stopped, failover cannot fire."""
         if self.degradation is not None:
             self.degradation.stop()
         if self.gate is not None:
@@ -73,9 +66,8 @@ def protect_engine(
     detector: suspicion is withheld while a microreboot is in flight
     and only propagated per policy.  ``microreboots`` caches one
     :class:`~repro.recovery.MicrorebootEngine` per primary host name,
-    so co-located VMs share the attempt (pass one dict for every engine
-    of a fleet).  ``replica_service_link`` lets the failover controller
-    re-home a client service after promotion.
+    so co-located VMs share the attempt.  ``replica_service_link``
+    lets the failover re-home a client service.
     """
     transport = getattr(engine, "transport", None)  # COLO has none
     if detector == "phi":

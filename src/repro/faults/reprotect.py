@@ -105,6 +105,18 @@ class ReprotectionController:
         self.completed.succeed(report)
         return report
 
+    def _fail(self, span, why: str, **fields) -> ReprotectionReport:
+        span.end(failed=True, failure_reason=why)
+        return self._finish(
+            ReprotectionReport(
+                ready_at=float("nan"),
+                unprotected_window=float("nan"),
+                failed=True,
+                failure_reason=why,
+                **fields,
+            )
+        )
+
     def _run(self):
         failover_report = yield self.failover.completed
         detected_at = failover_report.detected_at
@@ -122,17 +134,9 @@ class ReprotectionController:
                 "failover itself failed — nothing to re-protect: "
                 f"{failover_report.failure_reason}"
             )
-            span.end(failed=True, failure_reason=why)
-            return self._finish(
-                ReprotectionReport(
-                    vm_name=vm_name,
-                    detected_at=detected_at,
-                    started_at=self.sim.now,
-                    ready_at=float("nan"),
-                    unprotected_window=float("nan"),
-                    failed=True,
-                    failure_reason=why,
-                )
+            return self._fail(
+                span, why, vm_name=vm_name, detected_at=detected_at,
+                started_at=self.sim.now,
             )
         # The old secondary is the new primary; the promoted replica is
         # already registered in its VM table (created during seeding).
@@ -146,17 +150,9 @@ class ReprotectionController:
         plan = planner.plan([request])
         if not plan.fully_placed:
             why = f"no spare can host a fresh backup: {plan.unplaced[vm.name]}"
-            span.end(failed=True, failure_reason=why)
-            return self._finish(
-                ReprotectionReport(
-                    vm_name=vm.name,
-                    detected_at=detected_at,
-                    started_at=started_at,
-                    ready_at=float("nan"),
-                    unprotected_window=float("nan"),
-                    failed=True,
-                    failure_reason=why,
-                )
+            return self._fail(
+                span, why, vm_name=vm.name, detected_at=detected_at,
+                started_at=started_at,
             )
         spare = plan.secondary_of(vm.name)
         self.link = self.link_factory(new_primary, spare)
@@ -187,19 +183,10 @@ class ReprotectionController:
             # (RuntimeError wraps the interrupt cause), or capacity ran
             # out.  Anything else propagates — see below.
             why = f"re-seeding to {spare.host.name} failed: {error}"
-            span.end(failed=True, failure_reason=why)
-            return self._finish(
-                ReprotectionReport(
-                    vm_name=vm.name,
-                    detected_at=detected_at,
-                    started_at=started_at,
-                    ready_at=float("nan"),
-                    unprotected_window=float("nan"),
-                    spare_host=spare.host.name,
-                    spare_hypervisor=spare.product,
-                    failed=True,
-                    failure_reason=why,
-                )
+            return self._fail(
+                span, why, vm_name=vm.name, detected_at=detected_at,
+                started_at=started_at, spare_host=spare.host.name,
+                spare_hypervisor=spare.product,
             )
         except Exception as error:
             # Not part of the simulation's fault taxonomy — a bug.

@@ -18,10 +18,8 @@ detector's suspicion and decides, per
   the microreboot is in flight the gate *withholds* the suspicion, so
   a silent mid-recovery hypervisor cannot trigger a spurious failover.
 
-Under the ``failover`` policy there is no gate at all: the failover
-controller watches the detector directly
-(:func:`~repro.faults.protection.protect_engine`), so the controller
-rejects that policy.
+The ``failover`` policy has no gate (``protect_engine`` wires the
+failover controller to the detector), so the controller rejects it.
 
 On microreboot success the gate re-arms the halted replication engine
 on the same primary/secondary pair: the replica still holds the last
@@ -117,10 +115,6 @@ class RecoveryController:
         if self.process is not None and self.process.is_alive:
             self.process.interrupt("recovery controller stopped")
 
-    def report_attack(self, description: str) -> None:
-        """External detection path, forwarded to the real detector."""
-        self.monitor.report_attack(description)
-
     @property
     def detection_latency_bound(self) -> float:
         """The inner detector's bound plus the recovery deadline the
@@ -165,6 +159,14 @@ class RecoveryController:
             self.completed.succeed(report)
         return report
 
+    def _give_up(self, span, reason, escalation: str, **fields) -> None:
+        """No in-place recovery: hybrid escalates to failover with
+        ``escalation`` as the reason; recover-in-place loses the VM."""
+        escalate = self.policy is RecoveryPolicy.HYBRID
+        if escalate:
+            self._propagate(escalation)
+        self._resolve(span, reason=str(reason), escalated=escalate, **fields)
+
     def _run(self):
         try:
             reason = yield self.monitor.failure_detected
@@ -187,12 +189,9 @@ class RecoveryController:
                 if not hypervisor.host.is_up
                 else "hypervisor is responsive — suspicion is link-level"
             )
-            escalate = self.policy is RecoveryPolicy.HYBRID
-            if escalate:
-                self._propagate(reason)
-            self._resolve(
-                span, reason=str(reason), detected_at=detected_at,
-                escalated=escalate, failure_reason=why,
+            self._give_up(
+                span, reason, reason, detected_at=detected_at,
+                failure_reason=why,
             )
             return
         # Freeze the (possibly still-parked) engine process so a
@@ -212,12 +211,9 @@ class RecoveryController:
                 f"recovery deadline ({deadline:g}s) exceeded"
             )
             why = f"microreboot exceeded its {deadline:g}s deadline"
-            escalate = self.policy is RecoveryPolicy.HYBRID
-            if escalate:
-                self._propagate(f"{reason} [{why}]")
-            self._resolve(
-                span, reason=str(reason), detected_at=detected_at,
-                attempted=True, escalated=escalate, failure_reason=why,
+            self._give_up(
+                span, reason, f"{reason} [{why}]", detected_at=detected_at,
+                attempted=True, failure_reason=why,
             )
             return
         result: MicrorebootReport = outcome_event.value
@@ -244,11 +240,8 @@ class RecoveryController:
             )
             return
         why = result.failure_reason or "microreboot failed"
-        escalate = self.policy is RecoveryPolicy.HYBRID
-        if escalate:
-            self._propagate(f"{reason} [microreboot failed: {why}]")
-        self._resolve(
-            span, reason=str(reason), detected_at=detected_at,
-            fault_class=result.fault_class, attempted=True,
-            escalated=escalate, failure_reason=why, microreboot=result,
+        self._give_up(
+            span, reason, f"{reason} [microreboot failed: {why}]",
+            detected_at=detected_at, fault_class=result.fault_class,
+            attempted=True, failure_reason=why, microreboot=result,
         )

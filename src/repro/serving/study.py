@@ -261,10 +261,7 @@ class ServingStudy:
             extra.append((crash_time, detected))
             blackout = detected - crash_time
 
-        engine_names = {}
-        engine = getattr(deployment, "engine", None)
-        if engine is not None and getattr(engine, "name", None):
-            engine_names[spec.vm_name] = (engine.name,)
+        engine_names = {spec.vm_name: (deployment.engine.name,)}
 
         hedge = config.serving.hedge
         reports = overlay_reports(
