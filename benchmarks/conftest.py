@@ -57,7 +57,7 @@ def canonical(value):
     if isinstance(value, int):
         return int(value)
     if isinstance(value, float):
-        value = float(value)
+        value = float(value)  # a numpy float64 keeps the plain repr
         return value if math.isfinite(value) else repr(value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
@@ -79,16 +79,6 @@ def canonical(value):
         return out
     if isinstance(value, (list, tuple)):
         return [canonical(item) for item in value]
-    numpy = sys.modules.get("numpy")
-    if numpy is not None:
-        if isinstance(value, numpy.bool_):
-            return bool(value)
-        if isinstance(value, numpy.integer):
-            return int(value)
-        if isinstance(value, numpy.floating):
-            return canonical(float(value))
-        if isinstance(value, numpy.ndarray):
-            return canonical(value.tolist())
     raise TypeError(
         f"no canonical form for {type(value).__name__}: return the "
         "figure's rows from the benchmarked call instead"

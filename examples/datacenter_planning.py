@@ -18,9 +18,9 @@ from repro.analysis import (
     render_table,
 )
 from repro.cluster import PlacementRequest, ReplicationPlanner
+from repro.faults.protection import protect_engine
 from repro.hardware import GIB, Host, LinkPair, MemorySpec, omnipath_hfi100
 from repro.hypervisor import KvmHypervisor, XenHypervisor
-from repro.faults.protection import protect_engine
 from repro.replication import EngineRecipe, here_engine
 from repro.simkernel import Simulation
 from repro.workloads import MemoryMicrobenchmark
@@ -79,9 +79,7 @@ def main() -> None:
     engine.start(target)
     sim.run_until_triggered(engine.ready)
     # Heartbeat on the primary, ASR failover armed behind it.
-    protection = protect_engine(
-        sim, engine, interval=0.03, miss_threshold=3
-    )
+    protection = protect_engine(sim, engine, interval=0.03, miss_threshold=3)
     sim.run(until=sim.now + 60.0)
     stats = engine.stats
 
