@@ -139,3 +139,6 @@ def test_fleet_metrics_match_committed_baseline(capsys):
         print(render_table(report.summary_rows()))
 
     assert report.passed, [d.metric for d in report.regressions]
+    # The gate passes a metric the baseline lacks as "new", unchecked:
+    # every gated metric must be in the committed block.
+    assert not [d.metric for d in report.deltas if d.verdict == "new"]

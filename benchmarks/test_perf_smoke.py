@@ -187,6 +187,9 @@ def test_perf_trajectory_holds(capsys):
         print(render_table(report.summary_rows()))
 
     assert report.passed, [d.metric for d in report.regressions]
+    # The gate passes a metric the baseline lacks as "new", unchecked:
+    # every gated metric must be in the committed block.
+    assert not [d.metric for d in report.deltas if d.verdict == "new"]
 
 
 def test_perf_config_is_deterministic():

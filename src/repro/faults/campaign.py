@@ -33,6 +33,7 @@ from ..hardware.memory import MemorySpec
 from ..hardware.units import GIB
 from ..hypervisor import KvmHypervisor, XenHypervisor
 from ..integrity import IntegrityConfig, IntegrityTally
+from ..integrity.tally import TALLY_NAMES
 from ..recovery import MicrorebootConfig, MicrorebootEngine, RecoveryPolicy
 from ..replication.here import EngineRecipe
 from ..replication.transport import TransportConfig
@@ -45,8 +46,30 @@ from .protection import Protection, protect_engine
 from .reprotect import ReprotectionController
 from .spec import CORRUPTION_KINDS, FaultKind, FaultSchedule
 
-if TYPE_CHECKING:  # repro.serving loads only when a campaign serves
+if TYPE_CHECKING:  # repro.serving loads only when a trial runs
     from ..serving import ServingConfig
+
+#: The record names this module reads off a trial's recorder: the
+#: harvest, the checkpoint count and the serving overlay's fault times.
+_TRIAL_NAMES = frozenset({
+    "fault.injected",
+    "failover",
+    "reprotection",
+    "recovery",
+    "transport.retransmits",
+    "transport.commit_resend",
+    "transport.fencing_rejected",
+    "replication.checkpoint",
+})
+
+
+def _recorded_names() -> frozenset:
+    """Every name a trial's readers query, whichever of them it runs."""
+    # Imported here, not with this module, which stays serving-free.
+    from ..serving.timeline import TIMELINE_NAMES
+
+    return _TRIAL_NAMES | TALLY_NAMES | TIMELINE_NAMES
+
 
 #: ServingReport counters a TrialResult carries as ``serving_<name>``.
 _SERVING_COUNTS = (
@@ -570,7 +593,7 @@ class ChaosCampaign:
         config = self.config
         trial_seed = derive_seed(config.seed, f"chaos-trial-{index}")
         sim = Simulation(seed=trial_seed)
-        recorder = Recorder.attach(sim.telemetry)
+        recorder = Recorder.attach(sim.telemetry, names=_recorded_names())
         for subscriber in self.subscribers:
             sim.telemetry.subscribe(subscriber)
         sim.telemetry.counter("chaos.trial", 1.0, trial=index, seed=trial_seed)

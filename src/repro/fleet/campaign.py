@@ -34,14 +34,19 @@ from ..faults.spec import (
     ZONE_KINDS,
 )
 from ..integrity import IntegrityTally
+from ..integrity.tally import TALLY_NAMES
 from ..telemetry import Recorder
 from ..telemetry.metrics import fingerprint_float as _finite
 from .faults import FleetFaultInjector
 from .orchestrator import FleetOrchestrator
 from .spec import FleetSpec
 
-if TYPE_CHECKING:  # repro.serving loads only when a campaign serves
+if TYPE_CHECKING:  # repro.serving loads only when recorders attach
     from ..serving import ServingConfig
+
+#: The record name the serving overlay reads itself (the timeline and
+#: the integrity tally read theirs).
+_OVERLAY_NAMES = frozenset({"host.failure"})
 
 
 @dataclass(frozen=True)
@@ -266,11 +271,16 @@ class FleetCampaign:
         for subscriber in self.subscribers:
             orchestrator.sharded.subscribe(subscriber)
         if config.serving is not None or config.spec.integrity is not None:
+            from ..serving.timeline import TIMELINE_NAMES
+
             # Recorders go on before seeding so replica windows see the
             # seeding spans.  They are passive subscribers: attaching
             # them changes no draw and no event, only host memory.
+            # Either overlay may read any shard, so each recorder keeps
+            # what both read.
+            names = _OVERLAY_NAMES | TALLY_NAMES | TIMELINE_NAMES
             self.shard_recorders = {
-                name: Recorder.attach(shard.sim.telemetry)
+                name: Recorder.attach(shard.sim.telemetry, names=names)
                 for name, shard in orchestrator.shards.items()
             }
         injector = FleetFaultInjector(orchestrator)

@@ -179,6 +179,14 @@ class IntegrityMonitor:
         payload = session.last_payload if session is not None else None
         if payload is None:
             return f"{kind} on {self.vm_name}: no committed replica state"
+        hypervisor = session.hypervisor
+        if not (hypervisor.host.is_up and hypervisor.is_responsive):
+            # A down replica host holds no state to rot; loading into
+            # it would raise out of the fault process.
+            return (
+                f"{kind} on {self.vm_name}: replica host "
+                f"{hypervisor.host.name} is down, nothing corrupted"
+            )
         corrupted, detail = self._perturb(payload, kind)
         if corrupted is None:
             return f"{kind} on {self.vm_name}: {detail}"

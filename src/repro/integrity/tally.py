@@ -14,6 +14,9 @@ from typing import Iterable, List
 
 from ..telemetry.metrics import fingerprint_float as _finite
 
+#: The record names :meth:`IntegrityTally.collect` reads.
+TALLY_NAMES = frozenset({"integrity.failover_refused", "integrity.scrub.audit"})
+
 #: ``CorruptionEvent.repaired_by`` rung -> the tally field it counts in.
 _RUNG_FIELDS = {
     "page-refetch": "repair_page_refetches",

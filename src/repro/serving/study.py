@@ -45,9 +45,16 @@ from ..simkernel.random import derive_seed
 from ..telemetry import Recorder
 from ..telemetry.metrics import fingerprint_float as _finite
 from .model import ServingConfig, ServingReport, overlay_reports
+from .timeline import TIMELINE_NAMES
 
 #: Strategy order of every study table and bench payload.
 STRATEGIES = ("remus", "here", "colo", "failover", "hybrid-recovery")
+
+#: The record names :meth:`ServingStudy._harvest` reads itself (its
+#: overlay reads :data:`~repro.serving.timeline.TIMELINE_NAMES`).
+_HARVEST_NAMES = frozenset(
+    {"fault.injected", "heartbeat.failure_declared", "failover"}
+)
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,9 @@ class ServingStudy:
         else:
             deployment = ProtectedDeployment(spec)
         sim = deployment.sim
-        recorder = Recorder.attach(sim.telemetry)
+        recorder = Recorder.attach(
+            sim.telemetry, names=_HARVEST_NAMES | TIMELINE_NAMES
+        )
 
         if unreplicated:
             # No engine to protect: one bare detector watches the primary.

@@ -45,6 +45,21 @@ PAUSE_SPANS = (
     "colo.sync.initial",
 )
 
+#: Every record name :meth:`ServiceTimeline.from_recorder` reads.
+TIMELINE_NAMES = frozenset(PAUSE_SPANS) | {
+    "replication.session",
+    "colo.session",
+    "replication.seeding",
+    "colo.seeding",
+    "fault.injected",
+    "failover",
+    "recovery",
+    "devices.protection_started",
+    "devices.protection_ended",
+    "devices.packets_released",
+    "devices.packets_dropped",
+}
+
 # Egress event codes, ordered by time into one event list per window.
 RELEASE = 0
 FLUSH = 1

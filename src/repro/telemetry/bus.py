@@ -16,6 +16,15 @@ hot paths cost one attribute test.  Hot loops that would even pay the
 call (the kernel's ``step``) guard on :attr:`TelemetryBus.enabled` /
 :attr:`TelemetryBus.kernel_enabled` directly.
 
+A subscriber may declare the record names it consumes
+(``subscribe(subscriber, names=...)``).  The bus then builds only the
+records some subscriber wants: the union of the declared names, or
+every record as soon as one subscriber declared nothing.  A name
+outside that union costs one set lookup: ``counter``/``gauge`` return
+and ``span`` hands back :data:`NULL_SPAN` without allocating a span
+id.  A scoped subscriber still receives every record of the union, so
+it must ignore names it did not ask for (:class:`Recorder` does).
+
 Kernel-level records (one per processed event / finished process) are
 far denser than the component-level stream, so they sit behind a
 second opt-in flag, :attr:`TelemetryBus.trace_kernel_events`.
@@ -23,11 +32,14 @@ second opt-in flag, :attr:`TelemetryBus.trace_kernel_events`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional
 
 from .records import CounterRecord, GaugeRecord, SpanRecord
 
 Subscriber = Callable[[Any], None]
+
+#: The records the kernel emits under ``trace_kernel_events``.
+_KERNEL_NAMES = frozenset({"sim.event", "sim.process"})
 
 
 class Span:
@@ -73,7 +85,7 @@ class Span:
 
 
 class _NullSpan:
-    """Shared no-op span returned while the bus is disabled."""
+    """Shared no-op span returned for a record nobody subscribed to."""
 
     __slots__ = ()
     name = ""
@@ -91,7 +103,7 @@ class _NullSpan:
         return "<NullSpan>"
 
 
-#: The singleton no-op span handed out while telemetry is disabled.
+#: The singleton no-op span handed out for a record nobody wants.
 NULL_SPAN = _NullSpan()
 
 
@@ -101,31 +113,49 @@ class TelemetryBus:
     def __init__(self, sim):
         self.sim = sim
         self._subscribers: List[Subscriber] = []
+        #: Each subscriber's declared names (None: every name), in
+        #: subscription order.
+        self._scopes: List[Optional[FrozenSet[str]]] = []
         #: True whenever at least one subscriber is attached.  Hot
         #: paths may read this directly to skip building attrs dicts.
         self.enabled = False
+        #: The names some subscriber declared, or None while any
+        #: subscriber takes every record.
+        self._names: Optional[FrozenSet[str]] = None
         #: Opt-in for per-event / per-process kernel records.
         self._trace_kernel_events = False
-        #: enabled AND trace_kernel_events, pre-combined for the kernel
-        #: hot loop (one attribute read per processed event).
+        #: enabled AND trace_kernel_events AND a kernel record wanted,
+        #: pre-combined for the kernel hot loop (one attribute read per
+        #: processed event).
         self.kernel_enabled = False
         self._span_counter = 0
 
     # -- subscription -----------------------------------------------------
-    def subscribe(self, subscriber: Subscriber) -> Subscriber:
-        """Attach ``subscriber`` (a callable taking one record)."""
+    def subscribe(
+        self, subscriber: Subscriber, names: Optional[Iterable[str]] = None
+    ) -> Subscriber:
+        """Attach ``subscriber`` (a callable taking one record).
+
+        ``names`` declares the record names it consumes; None (the
+        default) takes every record.
+        """
         if not callable(subscriber):
             raise TypeError(f"subscriber must be callable: {subscriber!r}")
+        if isinstance(names, str):
+            raise TypeError(f"names must be a collection of names: {names!r}")
         self._subscribers.append(subscriber)
+        self._scopes.append(None if names is None else frozenset(names))
         self._refresh_flags()
         return subscriber
 
     def unsubscribe(self, subscriber: Subscriber) -> None:
         """Detach ``subscriber`` (missing subscribers are ignored)."""
         try:
-            self._subscribers.remove(subscriber)
+            index = self._subscribers.index(subscriber)
         except ValueError:
-            pass
+            return
+        del self._subscribers[index]
+        del self._scopes[index]
         self._refresh_flags()
 
     @property
@@ -139,7 +169,15 @@ class TelemetryBus:
 
     def _refresh_flags(self) -> None:
         self.enabled = bool(self._subscribers)
-        self.kernel_enabled = self.enabled and self._trace_kernel_events
+        if None in self._scopes:
+            self._names = None
+        else:
+            self._names = frozenset().union(*self._scopes)
+        self.kernel_enabled = (
+            self.enabled
+            and self._trace_kernel_events
+            and (self._names is None or not self._names.isdisjoint(_KERNEL_NAMES))
+        )
 
     def _next_span_id(self) -> int:
         self._span_counter += 1
@@ -153,25 +191,25 @@ class TelemetryBus:
 
     def counter(self, name: str, value: float = 1.0, **attrs) -> None:
         """Record a monotonic increment of ``value`` on ``name``."""
-        if not self.enabled:
+        if not self.enabled or (self._names is not None and name not in self._names):
             return
         self.publish(CounterRecord(name=name, time=self.sim.now, value=value, attrs=attrs))
 
     def gauge(self, name: str, value: float, **attrs) -> None:
         """Record an instantaneous sample of ``name``."""
-        if not self.enabled:
+        if not self.enabled or (self._names is not None and name not in self._names):
             return
         self.publish(GaugeRecord(name=name, time=self.sim.now, value=value, attrs=attrs))
 
     def span(self, name: str, parent=None, **attrs):
         """Open a span at the current simulated time.
 
-        Returns :data:`NULL_SPAN` while disabled, so callers hold the
-        same API either way and never test the flag themselves.
-        ``parent`` is another span (real or null); its id links the
-        records into a tree.
+        Returns :data:`NULL_SPAN` when no subscriber wants ``name``, so
+        callers hold the same API either way and never test the flag
+        themselves.  ``parent`` is another span (real or null); its id
+        links the records into a tree.
         """
-        if not self.enabled:
+        if not self.enabled or (self._names is not None and name not in self._names):
             return NULL_SPAN
         parent_id = parent.span_id if parent is not None else None
         return Span(self, name, parent_id, attrs)

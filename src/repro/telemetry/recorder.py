@@ -5,11 +5,17 @@ and offers the filtered views the analysis layer consumes:
 ``spans("replication.checkpoint", engine="asr")`` is the shape every
 reconstruction (:meth:`repro.replication.checkpoint.ReplicationStats.from_recorder`,
 :meth:`repro.migration.stats.MigrationStats.from_recorder`) is built on.
+
+A recorder attached with ``names=`` is *scoped*: it declares those
+names to the bus (which then builds no record outside the union its
+subscribers declared), keeps only records of those names, and raises
+:class:`KeyError` on a query for any other name, so a reader that
+forgot to declare a name fails loudly instead of reading nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import FrozenSet, Iterable, List, Optional
 
 from .records import CounterRecord, GaugeRecord, SpanRecord
 
@@ -24,13 +30,19 @@ def _matches(record, name: Optional[str], filters: dict) -> bool:
 
 
 class Recorder:
-    """Collects every record published on a bus it is subscribed to."""
+    """Collects the records published on a bus it is subscribed to."""
 
-    def __init__(self):
+    def __init__(self, names: Optional[Iterable[str]] = None):
         self.records: List = []
+        #: The names this recorder keeps and answers queries for, or
+        #: None for every name.
+        self.declared: Optional[FrozenSet[str]] = (
+            None if names is None else frozenset(names)
+        )
 
     def __call__(self, record) -> None:
-        self.records.append(record)
+        if self.declared is None or record.name in self.declared:
+            self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -40,15 +52,27 @@ class Recorder:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def attach(cls, bus) -> "Recorder":
-        """Create a recorder and subscribe it to ``bus``."""
-        recorder = cls()
-        bus.subscribe(recorder)
+    def attach(cls, bus, names: Optional[Iterable[str]] = None) -> "Recorder":
+        """Create a recorder and subscribe it to ``bus``.
+
+        ``names`` scopes it to those record names (see the module
+        docstring); None records everything.
+        """
+        recorder = cls(names)
+        bus.subscribe(recorder, names=recorder.declared)
         return recorder
 
     # -- queries -----------------------------------------------------------
+    def _check(self, name: Optional[str]) -> None:
+        if name is not None and self.declared is not None and name not in self.declared:
+            raise KeyError(
+                f"recorder was not declared for {name!r}; "
+                f"it records {sorted(self.declared)}"
+            )
+
     def spans(self, name: Optional[str] = None, **attr_filters) -> List[SpanRecord]:
         """Completed spans, filtered by name and exact attr matches."""
+        self._check(name)
         return [
             r
             for r in self.records
@@ -56,6 +80,7 @@ class Recorder:
         ]
 
     def counters(self, name: Optional[str] = None, **attr_filters) -> List[CounterRecord]:
+        self._check(name)
         return [
             r
             for r in self.records
@@ -63,6 +88,7 @@ class Recorder:
         ]
 
     def gauges(self, name: Optional[str] = None, **attr_filters) -> List[GaugeRecord]:
+        self._check(name)
         return [
             r
             for r in self.records

@@ -48,7 +48,7 @@ class TestConfigValidation:
 
 class TestOptInContract:
     def test_campaign_module_does_not_import_serving(self):
-        # The overlay's package loads only when a campaign serves.
+        # The overlay's package is not imported with the campaigns.
         import subprocess
         import sys
 

@@ -63,6 +63,28 @@ class TestFleetIntegrity:
         with pytest.raises(ValueError, match="integrity"):
             fleet_config(integrity=False, kinds=CORRUPTION)
 
+    def test_corrupting_a_replica_on_a_down_host_is_a_no_op(self):
+        # Seed 3 crashes vm-0001's replica host before four corruptions
+        # of that VM; each used to load state into the dead host and
+        # abort the campaign with an unhandled HostFailure.
+        campaign = FleetCampaign(fleet_config(
+            spec=FleetSpec(
+                zones=3, racks_per_zone=1, hosts_per_rack=2, spares=3,
+                vms=2, seed=3, integrity=IntegrityConfig(),
+            ),
+            fault_window=30.0, recovery_time=20.0, faults=8,
+            kinds=(FaultKind.HOST_CRASH, FaultKind.REPLICA_BITROT,
+                   FaultKind.TORN_APPLY),
+        ))
+        result = campaign.run()
+        skipped = [
+            fault for fault in campaign.injector.injected
+            if "is down, nothing corrupted" in fault.detail
+        ]
+        assert len(skipped) == 4
+        assert all(fault.spec.target == "vm-0001" for fault in skipped)
+        assert result.fingerprint()["corruptions"] == 0
+
 
 class TestFingerprintKeysMatchChaos:
     def test_integrity_block_keys(self, result):

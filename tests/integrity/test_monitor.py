@@ -86,6 +86,18 @@ class TestDetectionAndRepair:
         _, detected = monitor.audit()
         assert detected == []
 
+    @pytest.mark.parametrize("kind", ["replica-bitrot", "torn-apply"])
+    def test_replica_on_a_down_host_is_left_alone(self, kind):
+        deployment, _ = deploy()
+        session = deployment.engine.replica_session
+        monitor = deployment.engine.integrity_monitor
+        before = (session.last_payload, session.version)
+        deployment.testbed.secondary.fail("test crash")
+        detail = monitor.inject(kind)
+        assert detail.endswith("is down, nothing corrupted")
+        assert monitor.events == []
+        assert (session.last_payload, session.version) == before
+
     def test_torn_apply_needs_an_incremental_resync(self):
         deployment, recorder = deploy()
         monitor = deployment.engine.integrity_monitor

@@ -179,3 +179,76 @@ class TestKernelRecords:
 
 def _tick(sim):
     yield sim.timeout(1.0)
+
+
+def _emit_each(bus, names):
+    """One counter, gauge and ended span per name."""
+    for name in names:
+        bus.counter(name)
+        bus.gauge(name, 1.0)
+        bus.span(name).end()
+
+
+class TestScopedSubscribers:
+    def test_emitted_names_are_the_union_of_the_declared(self):
+        sim = Simulation()
+        published = []
+        sim.telemetry.subscribe(published.append, names={"a"})
+        sim.telemetry.subscribe(lambda record: None, names=("b",))
+        _emit_each(sim.telemetry, ("a", "b", "c"))
+        assert sorted({r.name for r in published}) == ["a", "b"]
+        assert len(published) == 6
+
+    def test_one_undeclared_subscriber_takes_everything(self):
+        sim = Simulation()
+        scoped = Recorder.attach(sim.telemetry, names={"a"})
+        published = []
+        full = sim.telemetry.subscribe(published.append)
+        _emit_each(sim.telemetry, ("a", "c"))
+        assert {r.name for r in published} == {"a", "c"}
+        # The scoped recorder keeps only its own names either way.
+        assert scoped.names() == ["a"]
+
+        sim.telemetry.unsubscribe(full)
+        published.clear()
+        sim.telemetry.subscribe(published.append, names={"c"})
+        _emit_each(sim.telemetry, ("a", "c", "d"))
+        assert {r.name for r in published} == {"a", "c"}
+        assert len(scoped) == 6
+
+    def test_an_undeclared_span_allocates_no_id(self):
+        sim = Simulation()
+        Recorder.attach(sim.telemetry, names={"kept"})
+        assert sim.telemetry.span("dropped") is NULL_SPAN
+        parent = sim.telemetry.span("kept")
+        assert parent.span_id == 1
+        child = sim.telemetry.span("kept", parent=NULL_SPAN)
+        assert child.span_id == 2 and child.parent_id is None
+
+    def test_names_must_be_a_collection(self):
+        sim = Simulation()
+        with pytest.raises(TypeError):
+            sim.telemetry.subscribe(lambda record: None, names="sim.event")
+
+    def test_kernel_records_still_need_the_opt_in(self):
+        sim = Simulation()
+        recorder = Recorder.attach(sim.telemetry, names={"sim.event"})
+        sim.process(_tick(sim))
+        sim.run()
+        assert not sim.telemetry.kernel_enabled
+        assert recorder.counters("sim.event") == []
+
+        sim2 = Simulation()
+        recorder2 = Recorder.attach(sim2.telemetry, names={"sim.event"})
+        sim2.telemetry.trace_kernel_events = True
+        assert sim2.telemetry.kernel_enabled
+        sim2.process(_tick(sim2))
+        sim2.run()
+        assert len(recorder2.counters("sim.event")) > 0
+
+    def test_kernel_opt_in_without_kernel_names_stays_off(self):
+        sim = Simulation()
+        Recorder.attach(sim.telemetry, names={"heartbeat.probe"})
+        sim.telemetry.trace_kernel_events = True
+        assert sim.telemetry.enabled
+        assert not sim.telemetry.kernel_enabled

@@ -1,5 +1,9 @@
 """Recorder queries."""
 
+import pytest
+
+from repro.cluster import DeploymentSpec, ProtectedDeployment
+from repro.hardware.units import GIB
 from repro.simkernel import Simulation
 from repro.telemetry import Recorder
 
@@ -50,3 +54,52 @@ class TestQueries:
         assert len(recorder) == 5
         recorder.clear()
         assert len(recorder) == 0
+
+
+class TestScopedRecorder:
+    def test_query_for_an_undeclared_name_raises(self):
+        sim = Simulation()
+        recorder = Recorder.attach(sim.telemetry, names={"bytes"})
+        sim.telemetry.counter("bytes", 2.0)
+        sim.telemetry.counter("depth", 1.0)
+        assert recorder.counter_total("bytes") == 2.0
+        assert recorder.names() == ["bytes"]
+        for query in (
+            recorder.spans, recorder.counters, recorder.gauges,
+            recorder.counter_total,
+        ):
+            with pytest.raises(KeyError, match="depth"):
+                query("depth")
+
+    def test_records_equal_a_full_recorders_of_the_same_names(self):
+        # Span and parent ids differ (undeclared spans take no id), so
+        # records compare on everything else.
+        names = {
+            "replication.checkpoint", "replication.checkpoint.pause",
+            "heartbeat.probe", "link.message", "link.bytes_delivered",
+        }
+
+        def run(scope):
+            deployment = ProtectedDeployment(DeploymentSpec(
+                engine="here", period=1.0, memory_bytes=GIB, seed=4,
+            ))
+            recorder = Recorder.attach(deployment.sim.telemetry, names=scope)
+            deployment.start_protection()
+            deployment.run_for(3.0)
+            deployment.engine.halt("test over")
+            return [
+                (type(r).__name__, r.name, _times(r), getattr(r, "value", None),
+                 r.attrs)
+                for r in recorder.records
+                if r.name in names
+            ]
+
+        scoped = run(names)
+        assert {record[1] for record in scoped} == names
+        assert scoped == run(None)
+
+
+def _times(record):
+    if hasattr(record, "started_at"):
+        return (record.started_at, record.ended_at)
+    return record.time
