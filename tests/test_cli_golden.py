@@ -12,6 +12,7 @@ output) with::
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -32,6 +33,13 @@ CASES = {
     "chaos-recovery": _CHAOS + ["--preset", "recovery"],
     "chaos-corruption": _CHAOS + ["--preset", "corruption"],
     "chaos-serving": _CHAOS + ["--serving-users", "1000"],
+    # The phi-accrual detector on both declaration paths: an answered
+    # probe from a hung hypervisor and unanswered probes on a partition.
+    "chaos-phi": [
+        "chaos", "--trials", "4", "--seed", "1", "--vms", "1",
+        "--recovery-time", "20", "--detector", "phi",
+        "--kinds", "hypervisor-hang,link-partition", "--faults", "2",
+    ],
     "fleet-hybrid": [
         "fleet", "--zones", "2", "--vms", "4", "--seed", "5", "--faults", "2",
         "--kind", "hypervisor-crash", "--recovery-policy", "hybrid",
@@ -59,6 +67,20 @@ def test_cli_output_matches_golden(name):
     with open(golden_path(name), encoding="utf-8") as handle:
         expected = handle.read()
     assert render(CASES[name]) == expected
+
+
+#: SHA-256 of the ``chaos-phi`` run's ``--trace`` JSONL: pins what the
+#: tables do not show (probe attributes, failure reasons, event and
+#: process names).  Update it only when the trace is meant to change.
+CHAOS_PHI_TRACE_SHA256 = (
+    "d44aa9ed6e96ce36ef750ee0a5c1dc1b0c9718fe3310772d3ab27e0ae55f753d"
+)
+
+
+def test_chaos_phi_trace_matches_digest(tmp_path):
+    trace = tmp_path / "phi.jsonl"
+    render(CASES["chaos-phi"] + ["--trace", str(trace)])
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == CHAOS_PHI_TRACE_SHA256
 
 
 if __name__ == "__main__":  # pragma: no cover
