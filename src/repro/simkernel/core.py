@@ -29,14 +29,12 @@ from typing import Any, Callable, Generator, Optional
 from ..telemetry import TelemetryBus
 from .errors import StopSimulation, UnhandledEventFailure
 from .events import AllOf, AnyOf, Event, Timeout
-from .processes import Process
+from .processes import PRIORITY_URGENT, Process
 from .random import RandomRegistry
 
-#: Priority for ordinary events.
+#: Priority for ordinary events (:data:`PRIORITY_URGENT` lives with the
+#: processes that schedule it).
 PRIORITY_NORMAL = 1
-#: Priority used for "urgent" bookkeeping events (e.g. interrupts) that
-#: must run before normal events scheduled at the same instant.
-PRIORITY_URGENT = 0
 
 
 class Simulation:

@@ -20,6 +20,14 @@ from ..telemetry import NULL_SPAN
 from .errors import Interrupt, SimulationError, StopSimulation
 from .events import Event
 
+#: Priority used for "urgent" bookkeeping events (process start,
+#: interrupts, re-waits) that must run before normal events scheduled
+#: at the same instant.  Defined here rather than in ``core`` (which
+#: imports this module) so no call imports it at run time: a process
+#: interrupted by a generator's cleanup at interpreter exit would find
+#: the import machinery gone.
+PRIORITY_URGENT = 0
+
 
 class Process(Event):
     """Drives a generator along the simulation timeline."""
@@ -51,8 +59,6 @@ class Process(Event):
         start._ok = True
         start._value = None
         start.callbacks.append(self._resume)
-        from .core import PRIORITY_URGENT  # local import to avoid a cycle
-
         sim._schedule(start, 0.0, PRIORITY_URGENT)
 
     # -- state -------------------------------------------------------------
@@ -76,8 +82,6 @@ class Process(Event):
         wrapper._ok = False
         wrapper._value = Interrupt(cause)
         wrapper.callbacks.append(self._deliver_interrupt)
-        from .core import PRIORITY_URGENT
-
         self.sim._schedule(wrapper, 0.0, PRIORITY_URGENT)
 
     def _deliver_interrupt(self, wrapper: Event) -> None:
@@ -136,8 +140,6 @@ class Process(Event):
             wrapper._ok = target._ok
             wrapper._value = target._value
             wrapper.callbacks.append(self._resume)
-            from .core import PRIORITY_URGENT
-
             self.sim._schedule(wrapper, 0.0, PRIORITY_URGENT)
         else:
             self._waiting_on = target

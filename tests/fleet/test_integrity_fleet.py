@@ -1,6 +1,13 @@
 """Checkpoint integrity at fleet scale: corruption -> scrub -> repair."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
+
+import repro
 
 from repro.faults import CampaignConfig, ChaosCampaign
 from repro.faults.spec import FaultKind
@@ -84,6 +91,36 @@ class TestFleetIntegrity:
         assert len(skipped) == 4
         assert all(fault.spec.target == "vm-0001" for fault in skipped)
         assert result.fingerprint()["corruptions"] == 0
+
+    def test_campaign_exits_without_cleanup_errors(self):
+        # The same campaign run at module level leaves engine generators
+        # suspended; their cleanup at interpreter exit interrupts the
+        # scrubbers, which used to import PRIORITY_URGENT on every call
+        # and printed "Exception ignored ... sys.meta_path is None".
+        script = textwrap.dedent("""
+            from repro.faults.spec import FaultKind
+            from repro.fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
+            from repro.integrity import IntegrityConfig
+
+            campaign = FleetCampaign(FleetCampaignConfig(
+                spec=FleetSpec(
+                    zones=3, racks_per_zone=1, hosts_per_rack=2, spares=3,
+                    vms=2, seed=3, integrity=IntegrityConfig(),
+                ),
+                settle_time=3.0, fault_window=30.0, recovery_time=20.0,
+                faults=8,
+                kinds=(FaultKind.HOST_CRASH, FaultKind.REPLICA_BITROT,
+                       FaultKind.TORN_APPLY),
+            ))
+            campaign.run()
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stderr == ""
 
 
 class TestFingerprintKeysMatchChaos:
