@@ -18,7 +18,7 @@ telemetry span covering detection -> redundancy restored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..cluster.planner import PlacementRequest, ReplicationPlanner
 from ..hardware.host import HostFailure
@@ -65,9 +65,6 @@ class ReprotectionController:
         failover: FailoverController,
         spares: List[Hypervisor],
         recipe: EngineRecipe,
-        link_factory: Optional[
-            Callable[[Hypervisor, Hypervisor], LinkPair]
-        ] = None,
     ):
         if not spares:
             raise ValueError("re-protection needs at least one spare candidate")
@@ -75,7 +72,6 @@ class ReprotectionController:
         self.failover = failover
         self.spares = list(spares)
         self.recipe = recipe
-        self.link_factory = link_factory or self._default_link
         self.report: Optional[ReprotectionReport] = None
         #: The fresh engine seeded to the spare (success only).
         self.engine = None
@@ -91,14 +87,6 @@ class ReprotectionController:
             raise RuntimeError("reprotection controller already armed")
         self.process = self.sim.process(self._run(), name="reprotection")
         return self.process
-
-    @staticmethod
-    def _default_link(primary: Hypervisor, secondary: Hypervisor) -> LinkPair:
-        return LinkPair(
-            primary.sim,
-            primary.host.interconnect,
-            name=f"{primary.host.name}->{secondary.host.name}:reprotect",
-        )
 
     def _finish(self, report: ReprotectionReport) -> ReprotectionReport:
         self.report = report
@@ -155,7 +143,11 @@ class ReprotectionController:
                 started_at=started_at,
             )
         spare = plan.secondary_of(vm.name)
-        self.link = self.link_factory(new_primary, spare)
+        self.link = LinkPair(
+            new_primary.sim,
+            new_primary.host.interconnect,
+            name=f"{new_primary.host.name}->{spare.host.name}:reprotect",
+        )
         self.engine = here_engine(
             self.sim,
             new_primary,

@@ -8,7 +8,7 @@ kernel module) that reacts to migration/failover events.
 
 Workloads (see :mod:`repro.workloads`) execute *inside* a VM: they make
 progress only while the VM runs, and report memory writes through
-:meth:`VirtualMachine.touch`, which feeds dirty tracking.
+:meth:`VirtualMachine.touch_spread`, which feeds dirty tracking.
 """
 
 from __future__ import annotations
@@ -184,43 +184,6 @@ class VirtualMachine:
         return self.paused_time() / elapsed
 
     # -- memory activity -------------------------------------------------------
-    def touch(
-        self,
-        vcpu: int,
-        touches: float,
-        wss_pages: Optional[int] = None,
-        offset_pages: int = 0,
-    ) -> None:
-        """Record ``touches`` memory writes by ``vcpu``.
-
-        The writes land uniformly in a working set of ``wss_pages``
-        starting ``offset_pages`` into guest memory (defaults to the
-        whole VM).  Feeds both the shared dirty log and the vCPU's PML
-        ring.
-        """
-        if not 0 <= vcpu < self.vcpu_count:
-            raise IndexError(f"vcpu {vcpu} out of range [0, {self.vcpu_count})")
-        if self._paused_at is not None:
-            raise VmLifecycleError(
-                f"VM {self.name!r} is paused; paused guests cannot dirty memory"
-            )
-        if wss_pages is None:
-            wss_pages = self.total_pages - offset_pages
-        if wss_pages <= 0:
-            raise ValueError(f"working set must be positive: {wss_pages}")
-        if offset_pages < 0 or offset_pages + wss_pages > self.total_pages:
-            raise ValueError(
-                f"working set [{offset_pages}, {offset_pages + wss_pages}) "
-                f"outside VM memory [0, {self.total_pages})"
-            )
-        first_chunk = offset_pages // self.pages_per_chunk
-        last_chunk = (offset_pages + wss_pages - 1) // self.pages_per_chunk
-        n_chunks = last_chunk - first_chunk + 1
-        self.dirty_log.record_uniform(vcpu, first_chunk, n_chunks, touches)
-        # PML logs at page granularity; the ring stores the aggregate
-        # as one range entry (first_chunk, n_chunks, touches).
-        self.pml_rings[vcpu].log_range(first_chunk, n_chunks, touches)
-
     def touch_spread(
         self,
         n_vcpus: int,
@@ -230,11 +193,11 @@ class VirtualMachine:
     ) -> None:
         """Record ``touches_per_vcpu`` writes by each of vCPUs ``0..n-1``.
 
-        The batched equivalent of calling :meth:`touch` once per vCPU
-        with the same working set — one validation pass, then the same
-        per-vCPU dirty-log and PML-ring updates in the same ascending
-        vCPU order, so the recorded state is bit-for-bit what the
-        per-call loop produced.  This is the workload flush path.
+        The writes land uniformly in a working set of ``wss_pages``
+        starting ``offset_pages`` into guest memory (defaults to the
+        whole VM).  One validation pass, then each vCPU's share feeds
+        the shared dirty log and that vCPU's PML ring, in ascending
+        vCPU order.  This is the workload flush path.
         """
         if not 1 <= n_vcpus <= self.vcpu_count:
             raise IndexError(

@@ -4,8 +4,8 @@ A :class:`Workload` is a simulation process living *inside* a VM.  Each
 tick it (a) makes application progress proportional to the time the VM
 actually executed (pauses freeze it — this is how replication
 degradation reaches application throughput), and (b) dirties guest
-memory through :meth:`~repro.vm.machine.VirtualMachine.touch`, which is
-what the replication layer reacts to.
+memory through :meth:`~repro.vm.machine.VirtualMachine.touch_spread`,
+which is what the replication layer reacts to.
 
 Subclasses implement :meth:`work_rate` (operations per second of VM
 execution), :meth:`touch_rate` (raw memory-write touches per second),
@@ -162,9 +162,9 @@ class Workload:
             return
         wss = min(self.working_set_pages(), self.vm.total_pages)
         per_vcpu = self._pending_touches / self.vcpu_spread
-        # One batched call instead of a touch() per vCPU: the working
-        # set is validated once and the per-vCPU buffers are updated in
-        # place, in the same ascending order the loop used.
+        # One batched call for every vCPU: the working set is validated
+        # once and the per-vCPU buffers are updated in place, in
+        # ascending vCPU order.
         self.vm.touch_spread(self.vcpu_spread, per_vcpu, wss_pages=wss)
         self._pending_touches = 0.0
 

@@ -101,42 +101,48 @@ class TestTimeAccounting:
 
 class TestTouch:
     def test_touch_records_dirty_state(self, vm):
-        vm.touch(0, 1000.0, wss_pages=51_200)
+        vm.touch_spread(1, 1000.0, wss_pages=51_200)
         snapshot = vm.dirty_snapshot()
         assert snapshot.unique_dirty_pages() == pytest.approx(1000.0, rel=0.02)
 
     def test_touch_feeds_pml_ring(self, vm):
-        vm.touch(2, 500.0, wss_pages=1024)
-        entries, overflowed = vm.pml_rings[2].drain()
-        assert not overflowed
-        assert sum(touches for _f, _n, touches in entries) == pytest.approx(500.0)
+        # Each of vCPUs 0..n-1 logs its own share; the others log none.
+        vm.touch_spread(3, 500.0, wss_pages=1024)
+        for vcpu in range(3):
+            entries, overflowed = vm.pml_rings[vcpu].drain()
+            assert not overflowed
+            assert sum(t for _f, _n, t in entries) == pytest.approx(500.0)
+        assert vm.pml_rings[3].drain()[0] == []
 
     def test_touch_while_paused_rejected(self, vm):
         vm.pause()
         with pytest.raises(VmLifecycleError):
-            vm.touch(0, 10.0)
+            vm.touch_spread(1, 10.0)
 
     def test_touch_validation(self, vm):
-        with pytest.raises(IndexError):
-            vm.touch(99, 10.0)
+        for n_vcpus in (0, vm.vcpu_count + 1):
+            with pytest.raises(IndexError):
+                vm.touch_spread(n_vcpus, 10.0)
         with pytest.raises(ValueError):
-            vm.touch(0, 10.0, wss_pages=0)
+            vm.touch_spread(1, 10.0, wss_pages=0)
         with pytest.raises(ValueError):
-            vm.touch(0, 10.0, wss_pages=vm.total_pages + 1)
+            vm.touch_spread(1, 10.0, wss_pages=vm.total_pages + 1)
+        with pytest.raises(ValueError):
+            vm.touch_spread(1, 10.0, wss_pages=1, offset_pages=-1)
 
     def test_snapshot_clear_drains_rings(self, vm):
-        vm.touch(0, 100.0, wss_pages=1024)
+        vm.touch_spread(1, 100.0, wss_pages=1024)
         vm.dirty_snapshot(clear=True)
         entries, _ = vm.pml_rings[0].drain()
         assert entries == []
 
     def test_snapshot_without_clear_preserves(self, vm):
-        vm.touch(0, 100.0, wss_pages=1024)
+        vm.touch_spread(1, 100.0, wss_pages=1024)
         vm.dirty_snapshot(clear=False)
         assert not vm.dirty_log.is_clean()
 
     def test_touch_with_offset(self, vm):
-        vm.touch(0, 100.0, wss_pages=512, offset_pages=512)
+        vm.touch_spread(1, 100.0, wss_pages=512, offset_pages=512)
         snapshot = vm.dirty_snapshot()
         dirty_chunks = snapshot.dirty_chunk_ids()
         assert list(dirty_chunks) == [1]
