@@ -216,6 +216,17 @@ class TestScopedSubscribers:
         assert {r.name for r in published} == {"a", "c"}
         assert len(scoped) == 6
 
+    def test_wants_answers_what_counter_would_publish(self):
+        bus = Simulation().telemetry
+        assert not bus.wants("a")
+        scoped = bus.subscribe(lambda record: None, names={"a"})
+        assert bus.wants("a") and not bus.wants("b")
+        full = bus.subscribe(lambda record: None)
+        assert bus.wants("b")
+        bus.unsubscribe(full)
+        bus.unsubscribe(scoped)
+        assert not bus.wants("a")
+
     def test_an_undeclared_span_allocates_no_id(self):
         sim = Simulation()
         Recorder.attach(sim.telemetry, names={"kept"})
