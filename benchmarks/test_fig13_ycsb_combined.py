@@ -24,7 +24,7 @@ def run_matrix():
     rows = []
     for mix in WORKLOADS:
         for config in CONFIGS:
-            metrics, _ = run_throughput_trial({
+            metrics = run_throughput_trial({
                 "setup": config, "workload": "ycsb",
                 "workload_kwargs": {"mix": mix},
                 "duration": 150.0,

@@ -23,7 +23,7 @@ def run_matrix():
     rows = []
     for spec_benchmark in BENCHMARKS:
         for config in CONFIGS:
-            metrics, _ = run_throughput_trial({
+            metrics = run_throughput_trial({
                 "setup": config, "workload": "spec",
                 "workload_kwargs": {"benchmark": spec_benchmark},
                 "duration": 150.0,

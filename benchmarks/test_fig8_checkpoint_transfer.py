@@ -26,10 +26,9 @@ HERE_8S = ReplicationSetup("HERE(T=8s)", "here", period=8.0)
 
 
 def checkpoint_point(setup, size, load):
-    metrics, _ = run_checkpoint_trial(
+    return run_checkpoint_trial(
         {"setup": setup, "memory_gib": size, "load": load}
     )
-    return metrics
 
 
 def run_panel(load):

@@ -19,11 +19,9 @@ runners below directly — and registers the built-in trial kinds:
 * ``fleet-trial`` — one seeded :class:`~repro.fleet.FleetCampaign`,
   reporting its fingerprint and flat metrics.
 
-Every simulation runner subscribes its own :class:`~repro.telemetry.
-metrics.MetricsAggregator` to the trial's buses and returns its
-summary alongside the metrics, so the sweep JSONL log carries the
-full telemetry percentile table per trial; the serving runner returns
-its report's summary rows instead.
+Every runner returns one flat metrics dict and subscribes nothing to
+the trial's telemetry bus: the bus builds only the records the trial's
+own harvest reads.
 
 The ``*_sweep`` builders assemble ready-to-run trial matrices;
 :data:`SWEEP_PRESETS` names them for ``repro sweep --preset ...``.
@@ -34,12 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..cluster import DeploymentSpec, ProtectedDeployment, unprotected_baseline
 from ..hardware.units import GIB
 from ..simkernel.random import derive_seed
-from ..telemetry import MetricsAggregator
 from ..workloads import (
     IdleWorkload,
     MemoryMicrobenchmark,
@@ -158,12 +155,6 @@ def attach_workload(deployment: ProtectedDeployment, kind: str, **kwargs):
 # Registered trial runners
 # ---------------------------------------------------------------------------
 
-def _telemetry(deployment: ProtectedDeployment) -> MetricsAggregator:
-    aggregator = MetricsAggregator()
-    deployment.sim.telemetry.subscribe(aggregator)
-    return aggregator
-
-
 def _replication_metrics(stats) -> Dict[str, float]:
     if stats is None:
         return {}
@@ -177,7 +168,7 @@ def _replication_metrics(stats) -> Dict[str, float]:
 
 
 @register_trial("throughput")
-def run_throughput_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
+def run_throughput_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """One bar of Figs. 11–16: a workload under one configuration."""
     setup = resolve_setup(params["setup"])
     seed = int(params.get("seed", BENCH_SEED))
@@ -187,14 +178,12 @@ def run_throughput_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     workload_kwargs = dict(params.get("workload_kwargs", {}))
     if setup.engine == "none":
         deployment = unprotected_baseline(setup.spec(memory_bytes, seed))
-        aggregator = _telemetry(deployment)
         workload = attach_workload(deployment, workload_kind, **workload_kwargs)
         deployment.run_for(duration)
         throughput = workload.throughput()
         stats = None
     else:
         deployment = ProtectedDeployment(setup.spec(memory_bytes, seed))
-        aggregator = _telemetry(deployment)
         workload = attach_workload(deployment, workload_kind, **workload_kwargs)
         deployment.start_protection(wait_ready=True)
         mark = workload.mark()
@@ -209,11 +198,11 @@ def run_throughput_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
         "slowdown_pct": slowdown_pct(throughput, baseline),
     }
     metrics.update(_replication_metrics(stats))
-    return metrics, aggregator.summary_rows()
+    return metrics
 
 
 @register_trial("checkpoint")
-def run_checkpoint_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
+def run_checkpoint_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """One point of Fig. 8: transfer/pause times under a memory load."""
     setup = resolve_setup(params["setup"])
     seed = int(params.get("seed", BENCH_SEED))
@@ -221,7 +210,6 @@ def run_checkpoint_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     load = float(params.get("load", 0.0))
     duration = float(params.get("duration", 100.0))
     deployment = ProtectedDeployment(setup.spec(int(memory_gib * GIB), seed))
-    aggregator = _telemetry(deployment)
     if load > 0:
         attach_workload(deployment, "membench", load=load)
     else:
@@ -234,26 +222,22 @@ def run_checkpoint_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
         "load": load,
     }
     metrics.update(_replication_metrics(deployment.stats))
-    return metrics, aggregator.summary_rows()
+    return metrics
 
 
 @register_trial("chaos-trial")
-def run_chaos_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
+def run_chaos_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """One trial of a chaos campaign, by campaign config + trial index."""
     from ..faults import CampaignConfig, ChaosCampaign
 
     params = dict(params)
     index = int(params.pop("index", 0))
-    aggregator = MetricsAggregator()
-    campaign = ChaosCampaign(
-        CampaignConfig.from_params(params), subscribers=[aggregator]
-    )
-    trial = campaign.run_trial(index)
-    return {"trial": trial.to_dict()}, aggregator.summary_rows()
+    trial = ChaosCampaign(CampaignConfig.from_params(params)).run_trial(index)
+    return {"trial": trial.to_dict()}
 
 
 @register_trial("serving")
-def run_serving_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
+def run_serving_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """One strategy of the serving study: user-visible tail latency."""
     from ..faults.campaign import decode_params
     from ..serving import ServingStudy, StudyConfig
@@ -271,11 +255,11 @@ def run_serving_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
         metrics["hedged_p999"] = outcome.hedged_report.p999
         metrics["hedged_lost"] = float(outcome.hedged_report.lost)
         metrics["hedged_rescued"] = float(outcome.hedged_report.rescued)
-    return metrics, outcome.report.summary_rows()
+    return metrics
 
 
 @register_trial("fleet-trial")
-def run_fleet_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
+def run_fleet_trial(params: Dict[str, Any]) -> Dict[str, Any]:
     """One seeded fleet chaos campaign (zone/rack outages at scale)."""
     from ..faults.campaign import decode_params
     from ..fleet import FleetCampaign, FleetCampaignConfig, FleetSpec
@@ -287,13 +271,10 @@ def run_fleet_trial(params: Dict[str, Any]) -> Tuple[Dict, List[dict]]:
     # The sweep runner injects the spec-level seed; the fleet seed
     # rides inside the nested FleetSpec params, so it is redundant here.
     params.pop("seed", None)
-    aggregator = MetricsAggregator()
-    result = FleetCampaign(
-        FleetCampaignConfig(spec=spec, **params), subscribers=[aggregator]
-    ).run()
+    result = FleetCampaign(FleetCampaignConfig(spec=spec, **params)).run()
     metrics: Dict[str, Any] = {"fingerprint": result.fingerprint()}
     metrics.update(result.metrics())
-    return metrics, aggregator.summary_rows()
+    return metrics
 
 
 def slowdown_pct(throughput: float, baseline: float) -> float:

@@ -1,7 +1,7 @@
 """The trial-runner registry.
 
-A *trial runner* is a plain function ``fn(params: dict) -> dict`` (or
-``-> (metrics, telemetry_rows)``) registered under a ``kind`` string.
+A *trial runner* is a plain function ``fn(params: dict) -> dict``
+registered under a ``kind`` string; the dict is the trial's metrics.
 :class:`~repro.experiments.runner.SweepRunner` workers look the kind
 up by name, so a trial description stays a picklable payload and the
 actual code travels by import (or, under the default ``fork`` start
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-TrialRunner = Callable[[dict], object]
+TrialRunner = Callable[[dict], dict]
 
 _RUNNERS: Dict[str, TrialRunner] = {}
 

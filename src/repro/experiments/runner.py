@@ -28,7 +28,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .registry import resolve_trial
 from .spec import ExperimentSpec, fingerprint_of
@@ -38,27 +38,24 @@ from .store import ResultStore, SweepLog
 _POLL_INTERVAL = 0.01
 
 
-def _normalize_result(result: Any) -> Tuple[Dict[str, Any], List[dict]]:
-    """Split a runner's return into (metrics, telemetry rows)."""
-    if isinstance(result, tuple) and len(result) == 2:
-        metrics, telemetry = result
-        return dict(metrics), list(telemetry)
-    if isinstance(result, dict):
-        return dict(result), []
-    raise TypeError(
-        f"trial runner must return a metrics dict or (metrics, telemetry); "
-        f"got {type(result).__name__}"
-    )
+def _check_metrics(kind: str, result: Any) -> Dict[str, Any]:
+    """A runner's return, which must be its metrics dict."""
+    if not isinstance(result, dict):
+        raise TypeError(
+            f"trial runner for kind {kind!r} must return a metrics dict; "
+            f"got {type(result).__name__}"
+        )
+    return dict(result)
 
 
 def _execute_trial(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one trial attempt; shared by inline and worker execution."""
     started = time.perf_counter()
     try:
-        runner = resolve_trial(spec_payload["kind"])
+        kind = spec_payload["kind"]
         params = dict(spec_payload["params"])
         params.setdefault("seed", spec_payload["seed"])
-        metrics, telemetry = _normalize_result(runner(params))
+        metrics = _check_metrics(kind, resolve_trial(kind)(params))
     except Exception as error:
         # The formatted traceback travels with the failure record:
         # worker processes die with the exception, so this string is
@@ -72,7 +69,6 @@ def _execute_trial(spec_payload: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "status": "ok",
         "metrics": metrics,
-        "telemetry": telemetry,
         "wall_clock": time.perf_counter() - started,
     }
 
@@ -105,7 +101,6 @@ class TrialOutcome:
     #: "ok" | "failed" (exception or dead worker) | "timeout"
     status: str
     metrics: Dict[str, Any] = field(default_factory=dict)
-    telemetry: List[dict] = field(default_factory=list)
     error: Optional[str] = None
     #: The trial's formatted traceback, when it failed with an
     #: exception (None for dead workers and timeouts — there is no
@@ -133,7 +128,6 @@ class TrialOutcome:
             "error": self.error,
             "traceback": self.traceback,
             "metrics": self.metrics,
-            "telemetry": self.telemetry,
         }
 
 
@@ -319,7 +313,6 @@ class SweepRunner:
                     fingerprint=fingerprint,
                     status="ok",
                     metrics=cached.get("metrics", {}),
-                    telemetry=cached.get("telemetry", []),
                     wall_clock=cached.get("wall_clock", 0.0),
                     cached=True,
                     attempts=0,
@@ -346,7 +339,6 @@ class SweepRunner:
                     "name": outcome.spec.name,
                     "status": "ok",
                     "metrics": outcome.metrics,
-                    "telemetry": outcome.telemetry,
                     "wall_clock": outcome.wall_clock,
                 })
             if self.log is not None:
@@ -464,7 +456,6 @@ class SweepRunner:
                 fingerprint=spec.fingerprint(),
                 status="ok",
                 metrics=result.get("metrics", {}),
-                telemetry=result.get("telemetry", []),
                 wall_clock=result.get("wall_clock", 0.0),
                 attempts=attempts,
             )

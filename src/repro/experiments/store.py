@@ -12,8 +12,8 @@ through a temp file + ``os.replace`` so a killed process can't leave
 a half-written entry behind.
 
 ``SweepLog`` appends one JSONL record per finished trial — status,
-wall clock, metrics and the trial's telemetry summary — giving the
-repo a machine-readable perf trajectory across sweep invocations.
+wall clock and metrics — giving the repo a machine-readable perf
+trajectory across sweep invocations.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..hardware.host import Host
 from ..hardware.link import LinkPair
@@ -93,24 +93,29 @@ class PhiAccrualDetector(HeartbeatMonitor):
         self._samples: deque = deque(maxlen=window)
 
     # -- the distribution ---------------------------------------------------
+    def _distribution(self) -> Tuple[float, float]:
+        """``(mean, std)`` of the window, in one pass for each."""
+        samples = self._samples
+        if not samples:
+            # No history yet: assume the configured rhythm.
+            return self.interval + self.link.round_trip_latency(), self.min_std
+        mean = sum(samples) / len(samples)
+        if len(samples) < 2:
+            return mean, self.min_std
+        variance = sum((s - mean) ** 2 for s in samples) / len(samples)
+        return mean, max(math.sqrt(variance), self.min_std)
+
     @property
     def mean(self) -> float:
-        if not self._samples:
-            # No history yet: assume the configured rhythm.
-            return self.interval + self.link.round_trip_latency()
-        return sum(self._samples) / len(self._samples)
+        return self._distribution()[0]
 
     @property
     def std(self) -> float:
-        if len(self._samples) < 2:
-            return self.min_std
-        mean = self.mean
-        variance = sum((s - mean) ** 2 for s in self._samples) / len(self._samples)
-        return max(math.sqrt(variance), self.min_std)
+        return self._distribution()[1]
 
     def phi(self, elapsed: float) -> float:
         """Current suspicion level for a silence of ``elapsed`` seconds."""
-        return phi_from_normal(elapsed, self.mean, self.std)
+        return phi_from_normal(elapsed, *self._distribution())
 
     @property
     def detection_latency_bound(self) -> float:
@@ -124,13 +129,14 @@ class PhiAccrualDetector(HeartbeatMonitor):
     def _silence_for_threshold(self) -> float:
         """Smallest silence with ``phi(silence) >= threshold`` (bisection
         on the monotone phi curve)."""
-        low = self.mean
-        high = self.mean + self.std
-        while phi_from_normal(high, self.mean, self.std) < self.threshold:
-            high += self.std * 2
+        mean, std = self._distribution()
+        low = mean
+        high = mean + std
+        while phi_from_normal(high, mean, std) < self.threshold:
+            high += std * 2
         for _ in range(60):
             mid = (low + high) / 2
-            if phi_from_normal(mid, self.mean, self.std) >= self.threshold:
+            if phi_from_normal(mid, mean, std) >= self.threshold:
                 high = mid
             else:
                 low = mid

@@ -41,10 +41,6 @@ class MemorySpec:
         """Total 4 KiB page frames."""
         return self.total_bytes // PAGE_SIZE
 
-    def fits(self, request_bytes: int, already_allocated: int = 0) -> bool:
-        """Whether a guest of ``request_bytes`` fits in the free pool."""
-        return already_allocated + request_bytes <= self.usable_bytes
-
 
 class MemoryPool:
     """Tracks guest memory allocations out of a :class:`MemorySpec`.

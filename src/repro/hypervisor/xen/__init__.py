@@ -1,7 +1,6 @@
-"""Simulated Xen 4.12 (type-1 hypervisor with Dom0 and xl toolstack)."""
+"""Simulated Xen 4.12 (type-1 hypervisor with a Dom0 control domain)."""
 
 from . import formats
 from .hypervisor import Dom0, XenHypervisor
-from .toolstack import XlToolstack
 
-__all__ = ["Dom0", "XenHypervisor", "XlToolstack", "formats"]
+__all__ = ["Dom0", "XenHypervisor", "formats"]

@@ -18,7 +18,6 @@ from ...vm.machine import VirtualMachine
 from ..base import Hypervisor
 from ..features import XEN_FEATURES
 from . import formats
-from .toolstack import XlToolstack
 
 
 @dataclass
@@ -62,7 +61,6 @@ class XenHypervisor(Hypervisor):
         #: Whether HERE's ~800-line Xen kernel patch (per-vCPU PML
         #: rings + multithreaded migration hooks) is present.
         self.here_patches = here_patches
-        self.toolstack = XlToolstack(self)
 
     # -- feature surface ----------------------------------------------------
     def cpuid_features(self) -> FrozenSet[str]:

@@ -1,10 +1,12 @@
 """Built-in trial kinds and sweep builders."""
 
+import json
 import math
 
 import pytest
 
-from repro.experiments import SweepRunner, resolve_trial
+from repro.experiments import ExperimentSpec, SweepLog, SweepRunner, resolve_trial
+from repro.experiments import registry
 from repro.experiments.presets import (
     BENCH_SEED,
     TABLE6,
@@ -150,7 +152,7 @@ class TestFleetSweep:
 
 class TestServingTrialRunner:
     def test_runs_one_strategy_and_reports_the_tail(self):
-        metrics, rows = run_serving_trial({
+        metrics = run_serving_trial({
             "strategy": "here",
             "seed": 3,
             "serving": {
@@ -168,12 +170,11 @@ class TestServingTrialRunner:
         assert math.isfinite(metrics["p999"])
         assert "hedged_p999" in metrics
         assert metrics["fingerprint"]["requests"] == metrics["requests"]
-        assert any(row["metric"] == "p999 (s)" for row in rows)
 
 
 class TestCheckpointTrialRunner:
     def test_runs_and_reports_checkpoint_metrics(self):
-        metrics, telemetry = run_checkpoint_trial({
+        metrics = run_checkpoint_trial({
             "setup": "HERE(3Sec,0%)",
             "memory_gib": 0.5,
             "load": 0.2,
@@ -184,5 +185,51 @@ class TestCheckpointTrialRunner:
         assert metrics["checkpoints"] > 0
         assert metrics["mean_transfer_s"] > 0
         assert math.isfinite(metrics["mean_degradation"])
-        names = {row["name"] for row in telemetry}
-        assert any(name.startswith("pipeline.stage") for name in names)
+
+
+#: One tiny trial of every built-in kind.
+TINY_SPECS = [
+    ExperimentSpec(name="tiny", kind="throughput", seed=3, params={
+        "setup": "HERE(3Sec,0%)", "workload": "idle",
+        "memory_gib": 0.5, "duration": 4.0,
+    }),
+    ExperimentSpec(name="tiny", kind="checkpoint", seed=3, params={
+        "setup": "HERE(3Sec,0%)", "memory_gib": 0.5, "load": 0.2,
+        "duration": 4.0,
+    }),
+    chaos_sweep(1, seed=3, vms=1, settle_time=2.0, fault_window=2.0,
+                recovery_time=5.0)[0],
+    serving_sweep(["here"], seed=3, users=2_000, duration=4.0)[0],
+    fleet_sweep(1, seed=3, recovery_time=10.0)[0],
+]
+
+
+class TestTrialContract:
+    def test_every_builtin_kind_has_a_tiny_spec(self):
+        assert {spec.kind for spec in TINY_SPECS} == {
+            kind for kind in registry._RUNNERS if not kind.startswith("test-")
+        }
+
+    @pytest.mark.parametrize("spec", TINY_SPECS, ids=lambda spec: spec.kind)
+    def test_builtin_kind_returns_only_its_metrics(
+        self, spec, tmp_path, monkeypatch
+    ):
+        """A runner returns one plain metrics dict, and the sweep log
+        records those metrics with no telemetry table beside them."""
+        builtin = resolve_trial(spec.kind)
+        returned = []
+
+        def spy(params):
+            returned.append(builtin(params))
+            return returned[-1]
+
+        monkeypatch.setitem(registry._RUNNERS, spec.kind, spy)
+        log = tmp_path / "sweeps.jsonl"
+        (outcome,) = SweepRunner(jobs=1, log=SweepLog(str(log))).run(
+            [spec]
+        ).outcomes
+        assert type(returned[0]) is dict
+        assert outcome.ok, outcome.error
+        (record,) = [json.loads(line) for line in log.read_text().splitlines()]
+        assert "telemetry" not in record
+        assert record["metrics"] == json.loads(json.dumps(returned[0]))

@@ -42,8 +42,8 @@ def _sleep(params):
     return {"slept": True}
 
 
-@register_trial("test-telemetry")
-def _with_telemetry(params):
+@register_trial("test-tuple")
+def _tuple(params):
     return {"value": 1}, [{"name": "span.x", "count": 3}]
 
 
@@ -185,14 +185,23 @@ class TestCaching:
 
 
 class TestLoggingAndBench:
-    def test_sweep_log_carries_metrics_and_telemetry(self, tmp_path):
+    def test_sweep_log_carries_metrics(self, tmp_path):
         log_path = tmp_path / "sweeps.jsonl"
-        specs = [ExperimentSpec(name="t", kind="test-telemetry")]
+        specs = [ExperimentSpec(name="t", kind="test-square",
+                                params={"x": 3}, seed=5)]
         SweepRunner(jobs=1, log=SweepLog(str(log_path))).run(specs)
         record = json.loads(log_path.read_text().splitlines()[0])
         assert record["status"] == "ok"
-        assert record["metrics"] == {"value": 1}
-        assert record["telemetry"] == [{"name": "span.x", "count": 3}]
+        assert record["metrics"] == {"value": 9, "seed": 5}
+        assert "telemetry" not in record
+
+    def test_runner_returning_a_tuple_is_rejected(self):
+        specs = [ExperimentSpec(name="t", kind="test-tuple")]
+        (outcome,) = SweepRunner(jobs=1).run(specs).outcomes
+        assert outcome.status == "failed"
+        assert outcome.error.startswith("TypeError: ")
+        assert "'test-tuple'" in outcome.error
+        assert "got tuple" in outcome.error
 
     def test_sweep_log_carries_traceback_for_failures(self, tmp_path):
         log_path = tmp_path / "sweeps.jsonl"

@@ -1,4 +1,4 @@
-"""Xen- and KVM-specific behaviour: toolstacks, extraction, activation."""
+"""Xen- and KVM-specific behaviour: extraction, activation."""
 
 import pytest
 
@@ -68,36 +68,6 @@ class TestXen:
         _sim, _tb, xen, kvm = setup
         assert xen.device_model_lineage == "qemu"
         assert kvm.device_model_lineage == "kvmtool"
-
-
-class TestXlToolstack:
-    def test_create_pause_unpause_destroy(self, setup):
-        sim, _tb, xen, _kvm = setup
-        toolstack = xen.toolstack
-        create = sim.process(toolstack.create("dom1", 2, GIB))
-        vm = sim.run_until_triggered(create)
-        assert vm.is_running
-        pause = sim.process(toolstack.pause("dom1"))
-        sim.run_until_triggered(pause)
-        assert vm.is_paused
-        unpause = sim.process(toolstack.unpause("dom1"))
-        sim.run_until_triggered(unpause)
-        assert vm.is_running
-        destroy = sim.process(toolstack.destroy("dom1"))
-        sim.run_until_triggered(destroy)
-        assert vm.is_destroyed
-
-    def test_commands_take_time(self, setup):
-        sim, _tb, xen, _kvm = setup
-        create = sim.process(xen.toolstack.create("dom1", 1, GIB))
-        sim.run_until_triggered(create)
-        assert sim.now > 0
-
-    def test_command_log_audit_trail(self, setup):
-        sim, _tb, xen, _kvm = setup
-        sim.run_until_triggered(sim.process(xen.toolstack.create("dom1", 1, GIB)))
-        commands = [command for _t, command, _a in xen.toolstack.command_log]
-        assert commands == ["create"]
 
 
 class TestKvm:

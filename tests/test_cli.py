@@ -500,7 +500,8 @@ class TestSweepCommand:
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(records) == 2
         assert all(record["status"] == "ok" for record in records)
-        assert all(record["telemetry"] for record in records)
+        assert all(record["metrics"] for record in records)
+        assert all("telemetry" not in record for record in records)
 
     @pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
     def test_retries_and_timeout_reach_every_spec(self, preset, tmp_path):
