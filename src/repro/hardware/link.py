@@ -308,7 +308,9 @@ class Link:
                 0.0, self._latency_jitter_s
             )
         event.succeed(delay, delay=delay)
-        self.sim.telemetry.counter("link.message", 1.0, link=self.name, nbytes=nbytes)
+        bus = self.sim.telemetry
+        if bus.enabled:
+            bus.counter("link.message", 1.0, link=self.name, nbytes=nbytes)
         return event
 
     def utilisation(self, since: float = 0.0) -> float:

@@ -17,6 +17,14 @@ buckets preserve scheduling order internally, and the heap orders the
 keys.  An urgent event scheduled mid-bucket still preempts the rest of
 a normal bucket at the same instant, because its *key* sorts first.
 
+One private loop, :meth:`Simulation._dispatch`, processes every event.
+It skims the heap once per bucket and then drains that bucket in FIFO
+order for as long as its key is still the heap top; an urgent push at
+the current instant replaces the top and so preempts the rest of the
+bucket.  :meth:`~Simulation.run`, :meth:`~Simulation.run_until_triggered`
+and :meth:`~Simulation.step` all go through it, so the unhandled-failure
+rule and the ``sim.event`` counter exist in one place.
+
 Simulated time is a float measured in **seconds**.  Real wall-clock time
 is never consulted.
 """
@@ -193,27 +201,56 @@ class Simulation:
                 "step() on an empty calendar: no events are scheduled "
                 "(start a process or a timeout first)"
             )
-        when = self._queue[0][0]
-        cursor = bucket[0]
-        bucket[0] = cursor + 1
-        event = bucket[1][cursor]
-        bucket[1][cursor] = None  # release the reference promptly
-        self._pending -= 1
-        if when < self._now:  # pragma: no cover - guarded by _schedule
-            raise RuntimeError("calendar went backwards")
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        self.events_processed += 1
-        if self.telemetry.kernel_enabled:
-            self.telemetry.counter("sim.event", 1.0, event=event.name)
-        if not event._ok and not callbacks:
-            raise UnhandledEventFailure(event._value) from event._value
-        handled = False
-        for callback in callbacks:
-            callback(event)
-            handled = True
-        if not event._ok and not handled:
-            raise UnhandledEventFailure(event._value) from event._value
+        self._dispatch(float("inf"), bucket[1][bucket[0]])
+
+    def _dispatch(self, horizon: float, target: Optional[Event]) -> None:
+        """Process events in calendar order; the one dispatch loop.
+
+        Returns when the calendar empties, when the next key is later
+        than ``horizon``, or right after ``target`` has been processed.
+        The heap is skimmed once per bucket; the bucket is then drained
+        in FIFO order while its key is still the heap top, so a
+        same-instant urgent push (a smaller key) preempts the rest of
+        it.  The cursor lives in the bucket, not in a local, so a
+        callback that steps the calendar itself leaves no stale state.
+        """
+        queue = self._queue
+        buckets = self._buckets
+        telemetry = self.telemetry
+        while queue:
+            key = queue[0]
+            bucket = buckets[key]
+            events = bucket[1]
+            if bucket[0] == len(events):
+                # Exhausted: retire it now that it has surfaced.
+                del buckets[key]
+                heapq.heappop(queue)
+                continue
+            when = key[0]
+            if when > horizon:
+                return
+            if when < self._now:  # pragma: no cover - guarded by _schedule
+                raise RuntimeError("calendar went backwards")
+            self._now = when
+            while True:
+                cursor = bucket[0]
+                bucket[0] = cursor + 1
+                event = events[cursor]
+                events[cursor] = None  # release the reference promptly
+                self._pending -= 1
+                callbacks, event.callbacks = event.callbacks, None
+                self.events_processed += 1
+                # Read per event: a mid-run subscribe can flip it.
+                if telemetry.kernel_enabled:
+                    telemetry.counter("sim.event", 1.0, event=event.name)
+                if not callbacks and not event._ok:
+                    raise UnhandledEventFailure(event._value) from event._value
+                for callback in callbacks:
+                    callback(event)
+                if event is target:
+                    return
+                if queue[0] is not key or bucket[0] == len(events):
+                    break
 
     def run(self, until: Optional[float] = None) -> Any:
         """Run the simulation.
@@ -242,10 +279,7 @@ class Simulation:
         if until is not None and until < self._now:
             raise ValueError(f"until={until} lies in the past (now={self._now})")
         try:
-            while self._pending:
-                if until is not None and self.peek() > until:
-                    break
-                self.step()
+            self._dispatch(float("inf") if until is None else until, None)
         except StopSimulation as stop:
             return stop.value
         if until is not None:
@@ -262,10 +296,9 @@ class Simulation:
             # Mark the event observed so a failure is delivered to us
             # (below) rather than raised as an unhandled failure.
             event.callbacks.append(lambda _evt: None)
-        while not event.processed:
-            if not self._pending or self.peek() > limit:
+            self._dispatch(limit, event)
+            if not event.processed:
                 raise RuntimeError(f"{event!r} cannot trigger before {limit}")
-            self.step()
         if not event.ok:
             raise event.value
         return event.value

@@ -75,7 +75,7 @@ class Event:
         ``delay`` postpones *processing* by the given amount of simulated
         time (the trigger itself is immediate and final).
         """
-        if self.triggered:
+        if self._value is not _UNSET:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -84,7 +84,7 @@ class Event:
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
         """Mark the event failed; ``exception`` is raised in each waiter."""
-        if self.triggered:
+        if self._value is not _UNSET:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
@@ -92,13 +92,6 @@ class Event:
         self._value = exception
         self.sim._schedule(self, delay)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (chaining aid)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     def __repr__(self) -> str:
         state = (
@@ -118,10 +111,14 @@ class Timeout(Event):
     def __init__(self, sim, delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # The slots of Event.__init__, set directly (hot path).
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._ok = True
+        self._scheduled = False
+        self.name = ""
+        self.delay = delay
         sim._schedule(self, delay)
 
     def __repr__(self) -> str:
@@ -139,7 +136,13 @@ class _Condition(Event):
     __slots__ = ("events", "_results", "_pending_count")
 
     def __init__(self, sim, events: Iterable[Event]):
-        super().__init__(sim)
+        # The slots of Event.__init__, set directly (hot path).
+        self.sim = sim
+        self.callbacks = []
+        self._value = _UNSET
+        self._ok = None
+        self._scheduled = False
+        self.name = ""
         self.events = tuple(events)
         for event in self.events:
             if event.sim is not sim:
@@ -150,14 +153,15 @@ class _Condition(Event):
             # Empty conditions are vacuously satisfied.
             self.succeed({})
             return
+        child_done = self._child_done
         for event in self.events:
-            if event.processed:
-                self._child_done(event)
+            if event.callbacks is None:
+                child_done(event)
             else:
-                event.callbacks.append(self._child_done)
+                event.callbacks.append(child_done)
 
     def _child_done(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _UNSET:
             return
         if not event._ok:
             self.fail(event._value)

@@ -97,20 +97,17 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._waiting_on = None
-        self._step(wrapper._value, ok=False)
+        self._resume(wrapper)
 
     # -- generator driving ---------------------------------------------------
     def _resume(self, event: Event) -> None:
+        """Send ``event``'s outcome into the generator; wait on its next yield."""
         self._waiting_on = None
-        self._step(event._value, ok=bool(event._ok))
-
-    def _step(self, value: Any, ok: bool) -> None:
         try:
-            if ok:
-                target = self._generator.send(value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(value)
+                target = self._generator.throw(event._value)
         except StopIteration as exit_:
             self._telemetry_span.end(outcome="ok")
             self.succeed(exit_.value)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkernel import Simulation, UnhandledEventFailure
+from repro.simkernel import Simulation, StopSimulation, UnhandledEventFailure
 
 
 @pytest.fixture
@@ -194,6 +194,50 @@ class TestBucketCalendar:
         assert sim.peek() == 3.0
 
 
+class TestMidBucketInterruption:
+    """A run cut short inside a bucket leaves the rest of it pending:
+    the next run fires the remaining events in FIFO order, once each."""
+
+    def _three_at_one(self, sim, first):
+        order = []
+        sim.timeout(1.0).callbacks.append(first)
+        for label in "bc":
+            sim.timeout(1.0, label).callbacks.append(
+                lambda e: order.append(e.value)
+            )
+        return order
+
+    def test_stop_from_first_of_three_same_instant_callbacks(self, sim):
+        order = self._three_at_one(sim, lambda e: sim.stop("halt"))
+        assert sim.run() == "halt"
+        assert (order, sim.events_processed, sim.now) == ([], 1, 1.0)
+        assert sim.run() is None
+        assert order == ["b", "c"]
+        assert sim.events_processed == 3
+
+    def test_callback_raising_mid_bucket_leaves_calendar_resumable(self, sim):
+        def boom(_evt):
+            raise KeyError("boom")
+
+        order = self._three_at_one(sim, boom)
+        with pytest.raises(KeyError):
+            sim.run()
+        assert (order, sim.events_processed, sim.now) == ([], 1, 1.0)
+        assert sim.peek() == 1.0
+        sim.run()
+        assert order == ["b", "c"]
+        assert sim.events_processed == 3
+
+    def test_stop_inside_run_until_triggered_propagates(self, sim):
+        order = self._three_at_one(sim, lambda e: sim.stop("halt"))
+        target = sim.timeout(1.0, "target")
+        with pytest.raises(StopSimulation):
+            sim.run_until_triggered(target)
+        assert sim.run_until_triggered(target) == "target"
+        assert order == ["b", "c"]
+        assert sim.events_processed == 4
+
+
 class TestRunUntilTriggered:
     def test_returns_event_value(self, sim):
         event = sim.timeout(2.0, value="payload")
@@ -212,14 +256,20 @@ class TestRunUntilTriggered:
     def test_raises_when_event_cannot_trigger(self, sim):
         orphan = sim.event()
         sim.timeout(1.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="cannot trigger before inf"):
             sim.run_until_triggered(orphan)
+        assert sim.events_processed == 1
 
     def test_respects_limit(self, sim):
         event = sim.timeout(100.0)
-        sim.timeout(1.0)
-        with pytest.raises(RuntimeError):
+        fired = []
+        sim.timeout(1.0).callbacks.append(lambda e: fired.append(sim.now))
+        with pytest.raises(RuntimeError, match="cannot trigger before 50.0"):
             sim.run_until_triggered(event, limit=50.0)
+        # Everything up to the limit fired; the target is still pending.
+        assert fired == [1.0]
+        assert sim.peek() == 100.0
+        assert sim.run_until_triggered(event) is None
 
 
 class TestScheduleCallback:

@@ -74,13 +74,6 @@ class TestEventLifecycle:
         sim.run()
         assert seen == ["payload"]
 
-    def test_trigger_copies_outcome(self, sim):
-        source = sim.event()
-        target = sim.event()
-        source.succeed(7)
-        target.trigger(source)
-        assert target.value == 7
-
 
 class TestTimeout:
     def test_timeout_fires_after_delay(self, sim):

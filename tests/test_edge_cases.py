@@ -175,17 +175,6 @@ class TestOverheadValidation:
 
 
 class TestEventTriggerChaining:
-    def test_trigger_copies_failure(self, sim):
-        source = sim.event()
-        target = sim.event()
-        source.fail(ValueError("boom"))
-        target.trigger(source)
-        assert target.ok is False
-        # Observe both so the kernel does not flag them.
-        source.callbacks.append(lambda e: None)
-        target.callbacks.append(lambda e: None)
-        sim.run()
-
     def test_yield_event_from_other_simulation_fails_process(self, sim):
         other = Simulation()
 
