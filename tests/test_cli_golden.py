@@ -44,6 +44,14 @@ CASES = {
         "fleet", "--zones", "2", "--vms", "4", "--seed", "5", "--faults", "2",
         "--kind", "hypervisor-crash", "--recovery-policy", "hybrid",
     ],
+    # The fleet injector's fan-out of each domain and hypervisor kind.
+    **{
+        f"fleet-{kind}": [
+            "fleet", "--zones", "2", "--vms", "4", "--seed", "5",
+            "--faults", "2", "--kind", kind,
+        ]
+        for kind in ("zone-outage", "rack-outage", "hypervisor-hang")
+    },
 }
 
 _WALL = re.compile(r"in [0-9.]+s wall — [0-9,]+ steps/sec")
