@@ -81,10 +81,13 @@ class FaultKind(Enum):
     CORRELATED = "correlated"
 
 
-#: Kinds the injector reverts after ``duration`` (when finite).
+#: Kinds the injector reverts after ``duration`` (when finite).  A
+#: zone or rack outage reverts by rebooting its domain's hosts.
 TRANSIENT_KINDS = frozenset(
     {
         FaultKind.HOST_TRANSIENT,
+        FaultKind.ZONE_OUTAGE,
+        FaultKind.RACK_OUTAGE,
         FaultKind.LINK_DEGRADE,
         FaultKind.LINK_PARTITION,
         FaultKind.LINK_LOSS,
@@ -103,6 +106,11 @@ HOST_KINDS = frozenset(
         FaultKind.HYPERVISOR_STARVE,
         FaultKind.EXPLOIT,
     }
+)
+#: Host kinds that fault the host's hypervisor while its power stays
+#: on (guest RAM survives).
+HYPERVISOR_KINDS = frozenset(
+    {FaultKind.HYPERVISOR_CRASH, FaultKind.HYPERVISOR_HANG, FaultKind.HYPERVISOR_STARVE}
 )
 #: Kinds whose target is a link (or link-pair) name.
 LINK_KINDS = frozenset(
@@ -221,9 +229,7 @@ class FaultSpec:
         if self.kind is FaultKind.CORRELATED:
             inner = ", ".join(p.describe() for p in self.parts)
             return f"correlated at +{self.at:g}s [{inner}]"
-        if self.reverts or (
-            self.kind in ZONE_KINDS and math.isfinite(self.duration)
-        ):
+        if self.reverts:
             label += f" for {self.duration:g}s"
         return label
 
@@ -303,7 +309,7 @@ class FaultSchedule:
                 target = rng.choice(list(vms))
             at = rng.uniform(low, high)
             duration = math.inf
-            if kind in TRANSIENT_KINDS or kind in ZONE_KINDS:
+            if kind in TRANSIENT_KINDS:
                 duration = rng.uniform(*transient_duration)
             kwargs = dict(kind=kind, target=target, at=at, duration=duration)
             if kind is FaultKind.LINK_DEGRADE:

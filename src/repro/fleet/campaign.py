@@ -31,13 +31,14 @@ from ..faults.spec import (
     CORRUPTION_KINDS,
     FaultKind,
     FaultSchedule,
+    HYPERVISOR_KINDS,
     ZONE_KINDS,
 )
 from ..integrity import IntegrityTally
 from ..integrity.tally import TALLY_NAMES
 from ..telemetry import Recorder
 from ..telemetry.metrics import fingerprint_float as _finite
-from .faults import FleetFaultInjector
+from .faults import FLEET_KINDS, FleetFaultInjector
 from .orchestrator import FleetOrchestrator
 from .spec import FleetSpec
 
@@ -82,13 +83,7 @@ class FleetCampaignConfig:
                 "mixing zone-outage and rack-outage in one random draw "
                 "is ambiguous (their targets differ) — pick one"
             )
-        allowed = ZONE_KINDS | CORRUPTION_KINDS | {
-            FaultKind.HOST_CRASH,
-            FaultKind.HOST_TRANSIENT,
-            FaultKind.HYPERVISOR_CRASH,
-            FaultKind.HYPERVISOR_HANG,
-        }
-        unknown = set(self.kinds) - allowed
+        unknown = set(self.kinds) - FLEET_KINDS
         if unknown:
             raise ValueError(
                 "fleet campaigns inject domain/host power faults, "
@@ -366,10 +361,7 @@ class FleetCampaign:
                 if rack != "spare"
             ]
         grid_hosts = [name for name, _, _, _ in spec.grid_hosts]
-        hypervisor_kinds = {
-            FaultKind.HYPERVISOR_CRASH, FaultKind.HYPERVISOR_HANG
-        }
-        if set(config.kinds) & hypervisor_kinds:
+        if set(config.kinds) & HYPERVISOR_KINDS:
             # Hypervisor faults aim at the *primary* (Xen) side — that
             # is the hypervisor the detectors watch and the recovery
             # policy can microreboot.

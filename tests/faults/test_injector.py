@@ -4,7 +4,9 @@ import pytest
 
 from repro.cluster import DeploymentSpec, ProtectedDeployment
 from repro.faults import FaultInjector, FaultKind, FaultSchedule, FaultSpec
-from repro.hardware.units import GIB
+from repro.fleet import FleetFaultInjector, FleetOrchestrator, FleetSpec
+from repro.hardware.units import GIB, MIB
+from repro.hypervisor.base import HypervisorState
 from repro.telemetry import Recorder
 
 
@@ -131,6 +133,23 @@ class TestHostFaults:
         assert "no-op" in injector.injected[0].detail
 
 
+class TestHypervisorFaults:
+    def test_crash_of_a_hung_hypervisor_is_a_recorded_noop(self):
+        deployment = build()
+        target = deployment.testbed.primary.name
+        injector = injector_for(deployment)
+        injector.inject(FaultSpec(FaultKind.HYPERVISOR_HANG, target=target, at=1.0))
+        injector.inject(FaultSpec(FaultKind.HYPERVISOR_CRASH, target=target, at=2.0))
+        deployment.run_for(3.0)
+        # The hung hypervisor is not killed a second time: its state
+        # stays hung, and the record says the crash did nothing.
+        assert deployment.primary.state is HypervisorState.HUNG
+        assert [record.detail for record in injector.injected] == [
+            "Xen hung: injected hypervisor-hang",
+            "Xen already hung: fault is a no-op",
+        ]
+
+
 class TestLinkFaults:
     def test_degrade_scales_capacity_then_restores(self):
         deployment = build()
@@ -245,23 +264,66 @@ class TestCorrelatedFaults:
         assert deployment.failover.completed.triggered
 
 
+def _chaos_fault(kind, **spec_kwargs):
+    """A chaos injector's fault on the primary host: (bus recorder,
+    shard recorders, target)."""
+    deployment = build()
+    recorder = Recorder.attach(deployment.sim.telemetry)
+    target = deployment.testbed.primary.name
+    injector_for(deployment).inject(
+        FaultSpec(kind, target=target, at=1.0, **spec_kwargs)
+    )
+    deployment.run_for(8.0)
+    return recorder, [], target
+
+
+def _fleet_zone_outage():
+    """A finite fleet zone outage, with a recorder on every bus."""
+    orchestrator = FleetOrchestrator(FleetSpec(
+        zones=2, racks_per_zone=2, hosts_per_rack=2, spares=2, vms=4,
+        vm_memory_bytes=128 * MIB, quantum=0.5, seed=3,
+    ))
+    recorder = Recorder.attach(orchestrator.fleet_sim.telemetry)
+    shard_recorders = [
+        Recorder.attach(shard.sim.telemetry)
+        for shard in orchestrator.shards.values()
+    ]
+    FleetFaultInjector(orchestrator).inject(
+        FaultSpec(FaultKind.ZONE_OUTAGE, target="z0", at=1.0, duration=3.0)
+    )
+    orchestrator.sharded.run(until=6.0)
+    return recorder, shard_recorders, "z0"
+
+
+#: Case id -> (kind, transient, run): both injectors publish the same
+#: records, the fleet's on the fleet bus only.
+TELEMETRY_CASES = {
+    "chaos": (
+        FaultKind.HYPERVISOR_CRASH, False,
+        lambda: _chaos_fault(FaultKind.HYPERVISOR_CRASH),
+    ),
+    "chaos-transient": (
+        FaultKind.HOST_TRANSIENT, True,
+        lambda: _chaos_fault(FaultKind.HOST_TRANSIENT, duration=4.0),
+    ),
+    "fleet": (FaultKind.ZONE_OUTAGE, True, _fleet_zone_outage),
+}
+
+
 class TestTelemetry:
-    def test_fault_spans_and_counters_on_bus(self):
-        deployment = build()
-        recorder = Recorder.attach(deployment.sim.telemetry)
-        injector_for(deployment).schedule(
-            FaultSchedule.single(
-                FaultSpec(
-                    FaultKind.HYPERVISOR_CRASH,
-                    target=deployment.testbed.primary.name,
-                    at=1.0,
-                )
-            )
-        )
-        deployment.run_for(3.0)
+    @pytest.mark.parametrize("case", sorted(TELEMETRY_CASES))
+    def test_fault_spans_and_counters_on_bus(self, case):
+        kind, transient, run = TELEMETRY_CASES[case]
+        recorder, shard_recorders, target = run()
         spans = recorder.spans("fault")
         assert len(spans) == 1
-        assert spans[0].attrs["kind"] == "hypervisor-crash"
-        assert spans[0].attrs["transient"] is False
+        assert spans[0].attrs["kind"] == kind.value
+        assert spans[0].attrs["target"] == target
+        assert spans[0].attrs["transient"] is transient
         counters = recorder.counters("fault.injected")
-        assert counters[0].attrs["target"] == deployment.testbed.primary.name
+        assert len(counters) == 1
+        assert counters[0].attrs["target"] == target
+        assert len(recorder.counters("fault.reverted")) == int(transient)
+        assert not [n for n in recorder.names() if n.startswith("fleet.fault")]
+        for shard_recorder in shard_recorders:
+            assert not shard_recorder.counters("fault.injected")

@@ -115,6 +115,20 @@ class TestRevertsAndDescribe:
         spec = FaultSpec(FaultKind.LINK_PARTITION, target="ic")
         assert not spec.reverts
 
+    @pytest.mark.parametrize(
+        "kind, target",
+        [(FaultKind.ZONE_OUTAGE, "z0"), (FaultKind.RACK_OUTAGE, "z0/r0")],
+    )
+    def test_finite_domain_outage_reverts_and_infinite_does_not(
+        self, kind, target
+    ):
+        finite = FaultSpec(kind, target=target, at=1.0, duration=5.0)
+        assert finite.reverts
+        assert finite.describe().endswith(" for 5s")
+        dark = FaultSpec(kind, target=target, at=1.0)
+        assert not dark.reverts
+        assert dark.describe() == f"{kind.value} on {target!r} at +1s"
+
     def test_describe_mentions_kind_target_and_duration(self):
         spec = FaultSpec(
             FaultKind.LINK_PARTITION, target="ic", at=2.0, duration=4.0
