@@ -74,6 +74,18 @@ def unique_pages_batch(chunk_pages: int, touches: np.ndarray) -> np.ndarray:
     touches = np.asarray(touches, dtype=np.float64)
     if touches.size and float(touches.min()) < 0:
         raise ValueError("negative touches")
+    return _unique_pages_core(chunk_pages, touches)
+
+
+def _unique_pages_core(chunk_pages: int, touches: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`unique_pages_batch`, without its checks.
+
+    For callers that already hold a float64 array of non-negative
+    touch counts and a positive ``chunk_pages`` (the snapshot sums,
+    which filter to ``> 0`` first).  It is the same kernel, not a
+    second evaluation of the formula: the public function validates
+    and then calls this.
+    """
     estimate = chunk_pages * (1.0 - (1.0 - 1.0 / chunk_pages) ** touches)
     return np.minimum(estimate, touches)
 
@@ -81,7 +93,9 @@ def unique_pages_batch(chunk_pages: int, touches: np.ndarray) -> np.ndarray:
 class DirtySnapshot:
     """Immutable view of the dirty state captured at a checkpoint."""
 
-    __slots__ = ("chunk_touches", "per_vcpu_touches", "pages_per_chunk")
+    __slots__ = (
+        "chunk_touches", "per_vcpu_touches", "pages_per_chunk", "_union_pages"
+    )
 
     def __init__(
         self,
@@ -89,9 +103,14 @@ class DirtySnapshot:
         per_vcpu_touches: Dict[int, np.ndarray],
         pages_per_chunk: int,
     ):
+        if pages_per_chunk <= 0:
+            raise ValueError(f"pages_per_chunk must be positive: {pages_per_chunk}")
         self.chunk_touches = chunk_touches
         self.per_vcpu_touches = per_vcpu_touches
         self.pages_per_chunk = pages_per_chunk
+        #: :meth:`unique_dirty_pages`, once computed (the arrays are
+        #: never written after capture).
+        self._union_pages: Optional[float] = None
 
     @property
     def n_chunks(self) -> int:
@@ -106,11 +125,13 @@ class DirtySnapshot:
         touched = touches[touches > 0]
         if touched.size == 0:
             return 0.0
-        return float(np.sum(unique_pages_batch(self.pages_per_chunk, touched)))
+        return float(np.sum(_unique_pages_core(self.pages_per_chunk, touched)))
 
     def unique_dirty_pages(self) -> float:
         """Expected unique dirty pages across the whole VM."""
-        return self._unique_pages_in(self.chunk_touches)
+        if self._union_pages is None:
+            self._union_pages = self._unique_pages_in(self.chunk_touches)
+        return self._union_pages
 
     def unique_dirty_pages_for_vcpu(self, vcpu: int) -> float:
         """Expected unique pages dirtied by one vCPU."""
@@ -126,11 +147,22 @@ class DirtySnapshot:
         threads (§7.2(1)); these pages must be resent during the final
         stop-and-copy.  Computed by inclusion–exclusion: the sum of
         per-vCPU unique sets minus the union.
+
+        vCPUs running one steady workload carry identical rows, so a
+        row equal to the previous one reuses its estimate: the kernel
+        maps equal inputs to equal outputs, and the terms are summed
+        in the same order (DESIGN §15, "identical per-vCPU state
+        priced once").
         """
-        per_vcpu_total = sum(
-            self.unique_dirty_pages_for_vcpu(v) for v in self.per_vcpu_touches
-        )
-        return max(0.0, per_vcpu_total - self.unique_dirty_pages())
+        terms: List[float] = []
+        previous: Optional[np.ndarray] = None
+        pages = 0.0
+        for touches in self.per_vcpu_touches.values():
+            if previous is None or not np.array_equal(touches, previous):
+                pages = self._unique_pages_in(touches)
+                previous = touches
+            terms.append(pages)
+        return max(0.0, sum(terms) - self.unique_dirty_pages())
 
     def pages_in_chunks(self, chunk_ids: Iterable[int]) -> float:
         """Expected unique dirty pages within the given chunks."""

@@ -53,9 +53,8 @@ class VirtualMachine:
         self.total_pages = pages_for(memory_bytes)
         self.n_chunks = chunks_for(memory_bytes)
         self.pages_per_chunk = CHUNK_SIZE // PAGE_SIZE
-        self.vcpu_states: List[VcpuArchState] = [
-            sample_running_state(i, seed=seed) for i in range(vcpus)
-        ]
+        self._vcpu_seed = seed
+        self._vcpu_states: Optional[List[VcpuArchState]] = None
         self.devices: List[VirtualDevice] = standard_pv_devices(device_flavor)
         self.device_flavor = device_flavor
         self.dirty_log = DirtyLog(self.n_chunks, self.pages_per_chunk)
@@ -63,6 +62,11 @@ class VirtualMachine:
             i: PmlRing(i, capacity_entries=pml_ring_capacity)
             for i in range(vcpus)
         }
+        #: Pre-copy passes with dirty logging armed.  The PML rings log
+        #: only while this is positive: hardware PML is enabled only in
+        #: log-dirty mode (DESIGN §15, "PML logging only in log-dirty
+        #: mode").
+        self._dirty_logging = 0
         #: Open while the VM executes; workloads wait on it when paused.
         self.running_gate = Gate(sim, is_open=False, name=f"run:{name}")
         self._started = False
@@ -85,6 +89,28 @@ class VirtualMachine:
         self.disk_replicator = None
         self.disk_bytes_written = 0
         self._disk_write_cursor = 0
+
+    @property
+    def vcpu_states(self) -> List[VcpuArchState]:
+        """The vCPU architectural states.
+
+        Sampled on first read: a replica shell whose first
+        :meth:`~repro.hypervisor.base.Hypervisor.load_guest_state`
+        replaces them never draws them.  Each state comes from its own
+        ``(seed, index)`` RNG, so when they are drawn moves no other
+        stream.
+        """
+        states = self._vcpu_states
+        if states is None:
+            states = self._vcpu_states = [
+                sample_running_state(i, seed=self._vcpu_seed)
+                for i in range(self.vcpu_count)
+            ]
+        return states
+
+    @vcpu_states.setter
+    def vcpu_states(self, states: List[VcpuArchState]) -> None:
+        self._vcpu_states = states
 
     # -- lifecycle ----------------------------------------------------------
     @property
@@ -196,12 +222,12 @@ class VirtualMachine:
         The writes land uniformly in a working set of ``wss_pages``
         starting ``offset_pages`` into guest memory (defaults to the
         whole VM).  One validation pass, then each vCPU's share feeds
-        the shared dirty log and that vCPU's PML ring, in ascending
-        vCPU order.  This is the workload flush path: from the first
-        spread after a checkpoint on, a steady spread (same window and
-        vCPU count) only advances the dirty log's pending scalars, and
-        the chunk arrays are written when the next checkpoint reads
-        them.
+        the shared dirty log and, while dirty logging is armed, that
+        vCPU's PML ring, in ascending vCPU order.  This is the workload
+        flush path: from the first spread after a checkpoint on, a
+        steady spread (same window and vCPU count) only advances the
+        dirty log's pending scalars, and the chunk arrays are written
+        when the next checkpoint reads them.
         """
         if not 1 <= n_vcpus <= self.vcpu_count:
             raise IndexError(
@@ -226,9 +252,10 @@ class VirtualMachine:
         self.dirty_log.record_uniform_spread(
             n_vcpus, first_chunk, n_chunks, touches_per_vcpu
         )
-        rings = self.pml_rings
-        for vcpu in range(n_vcpus):
-            rings[vcpu].log_range(first_chunk, n_chunks, touches_per_vcpu)
+        if self._dirty_logging:
+            rings = self.pml_rings
+            for vcpu in range(n_vcpus):
+                rings[vcpu].log_range(first_chunk, n_chunks, touches_per_vcpu)
 
     def record_disk_write(self, length: int, offset: Optional[int] = None) -> None:
         """A guest block-device write (PV ``vbd``/``virtio-blk`` path).
@@ -245,6 +272,29 @@ class VirtualMachine:
         self.disk_bytes_written += length
         if self.disk_replicator is not None:
             self.disk_replicator.record_write(offset, length)
+
+    def arm_dirty_logging(self) -> None:
+        """Enter log-dirty mode: the PML rings log from now on.
+
+        Entries logged outside an armed window would be drained and
+        discarded unread (by the arming read, a clearing snapshot or
+        the next arming), so the rings skip them.  Arms nest: logging
+        stops when every armer has disarmed.
+        """
+        self._dirty_logging += 1
+
+    def disarm_dirty_logging(self) -> None:
+        """Leave log-dirty mode (one :meth:`arm_dirty_logging` each)."""
+        if self._dirty_logging <= 0:
+            raise VmLifecycleError(
+                f"VM {self.name!r} dirty logging is not armed"
+            )
+        self._dirty_logging -= 1
+
+    @property
+    def dirty_logging_armed(self) -> bool:
+        """Whether the PML rings are logging (log-dirty mode)."""
+        return self._dirty_logging > 0
 
     def dirty_snapshot(self, clear: bool = True) -> DirtySnapshot:
         """Capture (and by default reset) the dirty state."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hardware import GIB, build_testbed
+from repro.hardware.host import HostFailure
 from repro.hypervisor import XenHypervisor
 from repro.migration import iterative_precopy
 from repro.simkernel import Simulation
@@ -86,3 +87,36 @@ class TestRingDrivenSeeding:
         for ring in vm.pml_rings.values():
             assert not ring.overflowed
             assert len(ring) == 0 or ring.fill < 1.0
+
+
+class TestLogDirtyWindow:
+    """The rings log only while a pre-copy has dirty logging armed."""
+
+    def test_armed_only_during_precopy(self):
+        sim, testbed, xen, vm = build()
+        seen = []
+        sim.schedule_callback(1.0, lambda: seen.append(vm.dirty_logging_armed))
+        assert not vm.dirty_logging_armed
+        run_precopy(sim, testbed, xen, vm)
+        assert seen == [True]
+        assert not vm.dirty_logging_armed
+        # Back out of log-dirty mode: the workload's writes reach the
+        # shared log only.
+        sim.run(until=sim.now + 1.0)
+        assert all(len(ring) == 0 for ring in vm.pml_rings.values())
+        assert not vm.dirty_log.is_clean()
+
+    def test_source_failure_mid_pass_disarms(self):
+        sim, testbed, xen, vm = build()
+        seen = []
+
+        def fail_source():
+            seen.append(vm.dirty_logging_armed)
+            testbed.primary.fail("power cut mid-pass")
+
+        # The first (bulk) pass of 2 GiB takes over two seconds.
+        sim.schedule_callback(1.0, fail_source)
+        with pytest.raises(HostFailure):
+            run_precopy(sim, testbed, xen, vm)
+        assert seen == [True]
+        assert not vm.dirty_logging_armed

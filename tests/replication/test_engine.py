@@ -54,6 +54,25 @@ class TestSeeding:
         assert engine.replica_vm is kvm.get_vm("protected")
         assert not engine.replica_vm.is_running
 
+    def test_replica_shell_not_sampled_before_first_load(self, monkeypatch):
+        sim, _tb, _xen, kvm, vm, engine = build(target_degradation=0.0, t_max=5.0)
+        unsampled_at_first_load = []
+        load = kvm.load_guest_state
+
+        def recording_load(target, payload):
+            if not unsampled_at_first_load:
+                unsampled_at_first_load.append(target._vcpu_states is None)
+            return load(target, payload)
+
+        monkeypatch.setattr(kvm, "load_guest_state", recording_load)
+        engine.start("protected")
+        sim.run_until_triggered(engine.ready)
+        assert unsampled_at_first_load == [True]
+        replica_states = engine.replica_vm.vcpu_states
+        assert len(replica_states) == vm.vcpu_count
+        for loaded, source in zip(replica_states, vm.vcpu_states):
+            assert loaded.equivalent_to(source)
+
     def test_guest_features_masked_at_setup(self):
         sim, _tb, xen, kvm, vm, engine = build(target_degradation=0.0, t_max=5.0)
         engine.start("protected")

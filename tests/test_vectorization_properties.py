@@ -15,7 +15,11 @@ inputs instead of hand-picked cases:
   per-vCPU state bit-identical to the per-vCPU ``record_uniform``
   loop it replaced, under arbitrary interleavings — including the
   deferred steady spread, whose pending segment every read and every
-  other write must store first.
+  other write must store first;
+* the unchecked occupancy core must agree with ``unique_pages_batch``,
+  and ``DirtySnapshot.problematic_pages`` and the pre-copy ring drain,
+  which price a row or ring equal to the previous one once, must
+  equal their per-row and per-ring reference loops.
 """
 
 from types import SimpleNamespace
@@ -28,9 +32,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.link import Link
 from repro.hardware.nic import Nic
+from repro.migration.precopy import _drain_vcpu_rings
 from repro.replication.transport import remerge_dirty
 from repro.simkernel import Simulation
-from repro.vm.dirty import DirtyLog, unique_pages, unique_pages_batch
+from repro.vm.dirty import (
+    DirtyLog,
+    DirtySnapshot,
+    _unique_pages_core,
+    unique_pages,
+    unique_pages_batch,
+)
 
 
 touch_counts = st.one_of(
@@ -55,6 +66,17 @@ class TestUniquePagesBatchAgreesWithScalar:
             # Exact equality, not approx: both must run the same
             # IEEE-754 operations.
             assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunk_pages=st.integers(min_value=1, max_value=1 << 20),
+        touches=st.lists(touch_counts, min_size=0, max_size=50),
+    )
+    def test_unchecked_core_bit_identical(self, chunk_pages, touches):
+        array = np.array(touches, dtype=np.float64)
+        core = _unique_pages_core(chunk_pages, array)
+        batched = unique_pages_batch(chunk_pages, array)
+        assert core.tobytes() == batched.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(touches=st.lists(touch_counts, min_size=1, max_size=20))
@@ -312,3 +334,146 @@ class TestDeferredSpreadMatchesPerVcpuLoop:
         assert not log._touches.any()
         assert not log.is_clean()
         _assert_same_snapshot(log.snapshot_and_clear(), looped.snapshot_and_clear())
+
+
+def _reference_pages(pages_per_chunk, touches):
+    """One row's occupancy sum, evaluated on its own."""
+    touched = touches[touches > 0]
+    if touched.size == 0:
+        return 0.0
+    return float(np.sum(unique_pages_batch(pages_per_chunk, touched)))
+
+
+def _reference_problematic(snapshot):
+    """Every row priced separately, summed in first-touch order."""
+    ppc = snapshot.pages_per_chunk
+    per_vcpu_total = sum(
+        _reference_pages(ppc, touches)
+        for touches in snapshot.per_vcpu_touches.values()
+    )
+    return max(0.0, per_vcpu_total - _reference_pages(ppc, snapshot.chunk_touches))
+
+
+@st.composite
+def _snapshots(draw, n_chunks=17):
+    """Per-vCPU rows where some repeat the previous (or an earlier) row.
+
+    vCPU ids come in arbitrary first-touch order; the union is the
+    sequential sum of the rows, as the dirty log accumulates it.
+    """
+    row = st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e7)),
+        min_size=n_chunks,
+        max_size=n_chunks,
+    ).map(lambda values: np.array(values, dtype=np.float64))
+    vcpus = draw(st.lists(st.integers(0, 15), min_size=0, max_size=7, unique=True))
+    rows = []
+    for _ in vcpus:
+        choice = draw(st.sampled_from(["new", "previous", "earlier"]))
+        if choice == "new" or not rows:
+            rows.append(draw(row))
+        elif choice == "previous":
+            rows.append(rows[-1].copy())
+        else:
+            rows.append(draw(st.sampled_from(rows)).copy())
+    union = np.zeros(n_chunks, dtype=np.float64)
+    for values in rows:
+        union += values
+    pages_per_chunk = draw(st.sampled_from([1, 7, 512]))
+    return DirtySnapshot(union, dict(zip(vcpus, rows)), pages_per_chunk)
+
+
+class TestProblematicPagesMatchesPerRowLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(snapshot=_snapshots(), union_first=st.booleans())
+    def test_bit_identical_to_reference(self, snapshot, union_first):
+        expected = _reference_problematic(snapshot)
+        union = _reference_pages(snapshot.pages_per_chunk, snapshot.chunk_touches)
+        if union_first:
+            # The pre-copy order: the union is read (and memoised) first.
+            assert snapshot.unique_dirty_pages() == union
+        assert snapshot.problematic_pages() == expected
+        assert snapshot.unique_dirty_pages() == union
+        assert snapshot.problematic_pages() == expected
+
+    def test_identical_rows_priced_once(self, monkeypatch):
+        import repro.vm.dirty as dirty
+
+        calls = []
+        core = dirty._unique_pages_core
+
+        def counting(chunk_pages, touches):
+            calls.append(touches.size)
+            return core(chunk_pages, touches)
+
+        monkeypatch.setattr(dirty, "_unique_pages_core", counting)
+        row = np.linspace(0.5, 9.0, 11)
+        snapshot = DirtySnapshot(
+            row * 4, {v: row.copy() for v in range(4)}, pages_per_chunk=512
+        )
+        snapshot.unique_dirty_pages()
+        snapshot.problematic_pages()
+        # One union and one row, not one union, four rows and a union.
+        assert len(calls) == 2
+
+
+def _ring_entries(n_chunks=64):
+    entry = st.tuples(
+        st.integers(0, n_chunks - 1),
+        st.integers(1, n_chunks),
+        st.floats(min_value=1e-6, max_value=1e9),
+    )
+    return st.lists(entry, min_size=0, max_size=8)
+
+
+@st.composite
+def _ring_drains(draw):
+    """Per-vCPU ``(entries, overflowed)`` drains with repeated rings."""
+    drains = []
+    for _ in range(draw(st.integers(1, 8))):
+        choice = draw(st.sampled_from(["new", "previous", "earlier", "overflow"]))
+        if choice == "overflow":
+            drains.append(([], True))
+        elif choice == "new" or not drains:
+            drains.append((draw(_ring_entries()), False))
+        elif choice == "previous":
+            drains.append((list(drains[-1][0]), drains[-1][1]))
+        else:
+            entries, overflowed = draw(st.sampled_from(drains))
+            drains.append((list(entries), overflowed))
+    return drains
+
+
+def _reference_ring_estimate(pages_per_chunk, entries):
+    """One ring priced on its own, in the drain's accumulation order."""
+    n_chunks = np.array([e[1] for e in entries], dtype=np.float64)
+    touches = np.array([e[2] for e in entries], dtype=np.float64)
+    terms = n_chunks * unique_pages_batch(pages_per_chunk, touches / n_chunks)
+    return float(sum(terms.tolist()))
+
+
+class _RingSource:
+    """Stands in for a hypervisor: hands out pre-drawn ring drains."""
+
+    def __init__(self, drains):
+        self._drains = list(drains)
+
+    def drain_pml_ring(self, vm, vcpu):
+        return self._drains[vcpu]
+
+
+class TestRingDrainMatchesPerRingLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(drains=_ring_drains(), pages_per_chunk=st.sampled_from([1, 7, 512]))
+    def test_bit_identical_to_reference(self, drains, pages_per_chunk):
+        vm = SimpleNamespace(pages_per_chunk=pages_per_chunk, vcpu_count=len(drains))
+        per_vcpu, overflowed = _drain_vcpu_rings(_RingSource(drains), vm)
+        expected = [
+            0.0 if did_overflow or not entries
+            else _reference_ring_estimate(pages_per_chunk, entries)
+            for entries, did_overflow in drains
+        ]
+        assert per_vcpu == expected
+        assert overflowed == {
+            vcpu for vcpu, (_e, did_overflow) in enumerate(drains) if did_overflow
+        }

@@ -5,6 +5,7 @@ import pytest
 from repro.hardware.units import GIB
 from repro.simkernel import Simulation
 from repro.vm import VirtualMachine, VmLifecycleError
+from repro.vm.vcpu import sample_running_state
 
 
 @pytest.fixture
@@ -38,6 +39,21 @@ class TestLifecycle:
     def test_double_start_rejected(self, vm):
         with pytest.raises(VmLifecycleError):
             vm.start()
+
+    def test_lazy_vcpu_states_equal_eager_samples(self, sim):
+        machine = VirtualMachine(sim, "g", vcpus=3, memory_bytes=GIB, seed=11)
+        assert machine._vcpu_states is None
+        states = machine.vcpu_states
+        eager = [sample_running_state(i, seed=11) for i in range(3)]
+        assert states == eager  # dataclass equality: every field
+        # Sampled once: later reads see the same objects.
+        assert machine.vcpu_states is states
+
+    def test_loaded_vcpu_states_replace_unsampled(self, sim):
+        machine = VirtualMachine(sim, "g", vcpus=2, memory_bytes=GIB, seed=3)
+        loaded = [sample_running_state(i, seed=99) for i in range(2)]
+        machine.vcpu_states = loaded
+        assert machine.vcpu_states is loaded
 
     def test_pause_resume_cycle(self, vm):
         assert vm.is_running
@@ -106,13 +122,38 @@ class TestTouch:
         assert snapshot.unique_dirty_pages() == pytest.approx(1000.0, rel=0.02)
 
     def test_touch_feeds_pml_ring(self, vm):
-        # Each of vCPUs 0..n-1 logs its own share; the others log none.
+        # With logging armed, each of vCPUs 0..n-1 logs its own share;
+        # the others log none.
+        vm.arm_dirty_logging()
         vm.touch_spread(3, 500.0, wss_pages=1024)
         for vcpu in range(3):
             entries, overflowed = vm.pml_rings[vcpu].drain()
             assert not overflowed
             assert sum(t for _f, _n, t in entries) == pytest.approx(500.0)
         assert vm.pml_rings[3].drain()[0] == []
+
+    def test_unarmed_rings_stay_empty(self, vm):
+        # Outside log-dirty mode only the shared dirty log records.
+        assert not vm.dirty_logging_armed
+        vm.touch_spread(4, 500.0, wss_pages=1024)
+        for ring in vm.pml_rings.values():
+            assert len(ring) == 0
+            assert ring.drain() == ([], False)
+        assert not vm.dirty_log.is_clean()
+
+    def test_logging_arms_nest(self, vm):
+        vm.arm_dirty_logging()
+        vm.arm_dirty_logging()
+        vm.disarm_dirty_logging()
+        assert vm.dirty_logging_armed
+        vm.touch_spread(1, 10.0, wss_pages=1024)
+        assert len(vm.pml_rings[0]) == 1
+        vm.disarm_dirty_logging()
+        assert not vm.dirty_logging_armed
+        vm.touch_spread(1, 10.0, wss_pages=1024)
+        assert len(vm.pml_rings[0]) == 1
+        with pytest.raises(VmLifecycleError):
+            vm.disarm_dirty_logging()
 
     def test_touch_while_paused_rejected(self, vm):
         vm.pause()
@@ -131,7 +172,9 @@ class TestTouch:
             vm.touch_spread(1, 10.0, wss_pages=1, offset_pages=-1)
 
     def test_snapshot_clear_drains_rings(self, vm):
+        vm.arm_dirty_logging()
         vm.touch_spread(1, 100.0, wss_pages=1024)
+        assert len(vm.pml_rings[0]) == 1
         vm.dirty_snapshot(clear=True)
         entries, _ = vm.pml_rings[0].drain()
         assert entries == []
